@@ -2,9 +2,10 @@
 //! and the counters both sides keep while riding out a fault window.
 //!
 //! A [`FaultPlan`] is a virtual-time script of shard crashes and message
-//! drops. It is **default-off**: an empty plan is never armed, and every
-//! fault-aware code path branches out before doing any work, so the
-//! fault-free configuration stays bit-for-bit identical to the seed path.
+//! drops. It is **default-off**: an empty plan is never armed, and the
+//! cluster's one admission check (`MdsCluster::shard_available`) then
+//! returns before doing any work, so the fault-free configuration stays
+//! bit-for-bit identical to the seed path.
 //! When a plan is armed, the same plan replayed against the same workload
 //! produces byte-identical traces — faults fire at scripted virtual times,
 //! and retry jitter comes from `simcore::rng` seeded by (node, sequence).
@@ -17,10 +18,12 @@
 //!   the shard serves traffic, priced as a journal scan plus the deferred
 //!   group transaction;
 //! - requests arriving inside the `[crash, resume)` window are refused
-//!   (fast NACK) or, for scripted message drops, time out.
+//!   (fast NACK); a scripted message drop swallows any request, batched
+//!   or not, and the client times out.
 //!
-//! The client model (in `CofsFs`): a preflight availability wait with
-//! bounded exponential backoff. Exhausted retries surface as `EIO` with an
+//! The client model (in `CofsFs`): one retry driver in front of every
+//! request, honoring quoted retry-afters and otherwise climbing a bounded
+//! exponential backoff ladder. Exhausted retries surface as `EIO` with an
 //! honest virtual end time, so scenario drivers complete instead of
 //! wedging.
 
@@ -267,6 +270,7 @@ pub struct RetryStats {
     pub exhausted: u64,
     /// Daemon-acked ops inside batches that exhausted retries (work the
     /// client believed submitted but the cluster never journaled).
+    /// [`FaultSummary::lost_acked_ops`] counts them as lost.
     pub exhausted_ops: u64,
     /// Deepest backoff-ladder rung any single operation reached (attempt
     /// index of the last backoff issued) — a direct measure of convoy
@@ -290,7 +294,9 @@ pub struct FaultSummary {
     pub exhausted: u64,
     /// Journal-acked ops replayed during recovery.
     pub replayed_ops: u64,
-    /// Journal-acked ops lost across a crash (gate: must be zero).
+    /// Acked ops lost: journal-acked ops lost across a crash plus
+    /// daemon-acked batch ops whose batch exhausted its retries (gate:
+    /// must be zero).
     pub lost_acked_ops: u64,
     /// Leases fenced at crash time.
     pub fenced_leases: u64,

@@ -145,12 +145,7 @@ impl<U: FileSystem> CofsFs<U> {
         shard_policy: Box<dyn ShardPolicy>,
     ) -> Self {
         let mut mds = MdsCluster::new(shard_policy);
-        // Default-off: an empty plan never arms, and every fault-aware
-        // branch below checks `fault_active()` first, so the fault-free
-        // configuration stays bit-for-bit the seed path.
-        if !cfg.fault.is_empty() {
-            mds.arm_faults(cfg.fault.clone());
-        }
+        mds.arm_faults(cfg.fault.clone());
         CofsFs {
             under,
             net,
@@ -262,7 +257,7 @@ impl<U: FileSystem> CofsFs<U> {
             retries: r.retries,
             exhausted: r.exhausted,
             replayed_ops: f.replayed_ops,
-            lost_acked_ops: f.lost_acked_ops,
+            lost_acked_ops: f.lost_acked_ops + r.exhausted_ops,
             fenced_leases: f.fenced_leases,
             fenced_sessions: f.fenced_sessions,
             elastic_aborts: f.elastic_aborts,
@@ -389,7 +384,7 @@ impl<U: FileSystem> CofsFs<U> {
     ) -> Result<simcore::time::SimTime, FsError> {
         self.observe_parent(path, t);
         let shard = self.mds.route(path);
-        let t = self.await_shard(node, shard, op, path.as_str(), t)?;
+        let t = self.await_shard(node, shard, op, path, t)?;
         Ok(self.rpc_at(node, shard, ops, t))
     }
 
@@ -521,85 +516,47 @@ impl<U: FileSystem> CofsFs<U> {
 
     /// Puts every closed batch of `node` due by `horizon` on the wire,
     /// in close order, feeding each completion back into the pipeline's
-    /// slot accounting. With a fault plan armed, a refused or dropped
-    /// batch is retried with deterministic backoff; exhaustion records
-    /// the failure time as the batch's completion (the slot frees — the
-    /// pipeline never wedges) and surfaces `EIO`.
+    /// slot accounting. A batch whose admission exhausts its retries
+    /// records the failure time as its completion (the slot frees — the
+    /// pipeline never wedges), counts its daemon-acked ops as lost, and
+    /// surfaces `EIO`.
     fn pump(&mut self, node: NodeId, horizon: simcore::time::SimTime) -> Result<(), FsError> {
         while let Some(b) = self.batch.take_due(node, horizon) {
             self.counters.bump("mds_batches");
-            if !self.mds.fault_active() {
-                let done = self
-                    .mds
-                    .rpc_batch(&self.cfg, &self.net, node, b.shard, &b.ops, b.issue_at);
-                self.batch.record_completion(node, done);
-                continue;
-            }
-            let mut t = b.issue_at;
-            let mut attempt = 0u32;
-            loop {
-                match self
-                    .mds
-                    .rpc_batch_checked(&self.cfg, &self.net, node, b.shard, &b.ops, t)
-                {
-                    Ok(done) => {
-                        self.apply_fenced();
-                        self.batch.record_completion(node, done);
-                        break;
-                    }
-                    Err(nack) => {
-                        self.apply_fenced();
-                        self.retry.nacks += 1;
-                        if let Some(after) = nack.retry_after {
-                            // Server-scheduled wait (admission control):
-                            // arrive exactly when told instead of
-                            // climbing the backoff ladder — a scheduled
-                            // slot is not a failure escalation, and the
-                            // token bucket guarantees the schedule makes
-                            // progress.
-                            self.retry.retries += 1;
-                            t = nack.at.max(after);
-                            continue;
-                        }
-                        if attempt >= self.cfg.retry.max_retries {
-                            self.retry.exhausted += 1;
-                            self.retry.exhausted_ops += b.ops.len() as u64;
-                            *self.exhausted_by_node.entry(node).or_insert(0) += 1;
-                            self.batch.record_completion(node, nack.at);
-                            return Err(FsError::new(Errno::EIO, "batch", b.shard.to_string())
-                                .with_end(nack.at));
-                        }
-                        self.retry.retries += 1;
-                        let seq = self.retry_seq;
-                        self.retry_seq += 1;
-                        let delay = self.cfg.retry.backoff(node, seq, attempt);
-                        self.retry.backoff += delay;
-                        t = nack.at + delay;
-                        attempt += 1;
-                        self.retry.max_backoff_depth = self.retry.max_backoff_depth.max(attempt);
-                    }
+            let t = match self.await_shard(node, b.shard, "batch", &b.shard, b.issue_at) {
+                Ok(t) => t,
+                Err(eio) => {
+                    self.retry.exhausted_ops += b.ops.len() as u64;
+                    let failed = eio.end().expect("retry exhaustion is timed");
+                    self.batch.record_completion(node, failed);
+                    return Err(eio);
                 }
-            }
+            };
+            let done = self
+                .mds
+                .rpc_batch(&self.cfg, &self.net, node, b.shard, &b.ops, t);
+            self.batch.record_completion(node, done);
         }
         Ok(())
     }
 
-    /// Waits (in virtual time) until `shard` accepts requests again,
-    /// retrying with deterministic exponential backoff. A no-op — and
-    /// allocation-free — without an armed fault plan. Each refusal
-    /// costs the refused round trip plus the jittered backoff delay;
-    /// exhausting the budget surfaces `EIO` with an honest end time.
+    /// The one retry driver: waits (in virtual time) until `shard`
+    /// admits a request from `node` sent at `t`
+    /// ([`MdsCluster::shard_available`]) and returns the admitted send
+    /// time. Each refusal costs the refused round trip (a dropped
+    /// message, the timeout); a quoted retry-after is honored as
+    /// scheduled, otherwise the deterministic backoff ladder climbs.
+    /// Exhausting the budget surfaces `EIO` with an honest end time —
+    /// the only place `subject` is formatted, so admission allocates
+    /// nothing.
     fn await_shard(
         &mut self,
         node: NodeId,
         shard: crate::mds_cluster::ShardId,
         op: &'static str,
-        subject: &str,
+        subject: &dyn std::fmt::Display,
         t: simcore::time::SimTime,
     ) -> Result<simcore::time::SimTime, FsError> {
-        if !self.mds.fault_active() {
-            return Ok(t);
-        }
         let mut now = t;
         let mut attempt = 0u32;
         loop {
@@ -649,11 +606,8 @@ impl<U: FileSystem> CofsFs<U> {
         path: &VPath,
         t: simcore::time::SimTime,
     ) -> Result<simcore::time::SimTime, FsError> {
-        if !self.mds.fault_active() {
-            return Ok(t);
-        }
         let shard = self.mds.route(path);
-        self.await_shard(node, shard, op, path.as_str(), t)
+        self.await_shard(node, shard, op, path, t)
     }
 
     /// Drains lease-fence notices queued by crash processing into the
@@ -715,7 +669,7 @@ impl<U: FileSystem> CofsFs<U> {
                 self.mds.route_entries(path)
             }
         };
-        let t = self.await_shard(ctx.node, shard, op, path.as_str(), t)?;
+        let t = self.await_shard(ctx.node, shard, op, path, t)?;
         let done = self.rpc_at(ctx.node, shard, ops, t);
         if self.cache.enabled() {
             self.counters.bump("cache_misses");
@@ -2044,6 +1998,67 @@ mod tests {
         // name is still absent — a failed create has no partial effect.
         let after = ctx.at(SimTime::from_secs(2));
         assert!(fs.stat(&after, &vpath("/f")).unwrap_err().is(Errno::ENOENT));
+    }
+
+    #[test]
+    fn scripted_drops_reach_unbatched_reads_and_mutations() {
+        // Drops are consumed by the one admission check, so a
+        // synchronous stat or mkdir times out on each dropped message
+        // just like a batch does.
+        let plan = crate::fault::FaultPlan::default().drop_messages(
+            crate::mds_cluster::ShardId(0),
+            SimTime::ZERO,
+            2,
+        );
+        let retry = crate::fault::RetryConfig::default();
+        let ctx = OpCtx::test(NodeId(0));
+        let mut made = fault_fs(plan.clone(), retry);
+        let made_at = made
+            .mkdir(&ctx, &vpath("/d"), Mode::dir_default())
+            .unwrap()
+            .end;
+        let mut seen = fault_fs(plan, retry);
+        let seen_at = seen.stat(&ctx, &VPath::root()).unwrap().end;
+        for (fs, end) in [(&made, made_at), (&seen, seen_at)] {
+            assert!(
+                end >= ctx.now + retry.timeout * 2,
+                "both drops time out first: {end:?}"
+            );
+            let s = fs.fault_summary().expect("plan armed");
+            assert_eq!(s.drops, 2);
+            assert_eq!(s.retries, 2);
+            assert_eq!(s.exhausted, 0);
+        }
+    }
+
+    #[test]
+    fn batch_exhaustion_counts_acked_ops_as_lost() {
+        let plan = crate::fault::FaultPlan::default().crash(
+            crate::mds_cluster::ShardId(0),
+            SimTime::from_millis(1),
+            SimDuration::from_millis(100),
+        );
+        let retry = crate::fault::RetryConfig {
+            max_retries: 0,
+            ..crate::fault::RetryConfig::default()
+        };
+        let mut fs = CofsFs::new(
+            MemFs::new(),
+            CofsConfig::default()
+                .with_batching(4, SimDuration::from_millis(5), 4)
+                .with_fault_plan(plan)
+                .with_retry(retry),
+            MdsNetwork::uniform(SimDuration::from_micros(250)),
+            7,
+        );
+        let ctx = OpCtx::test(NodeId(0));
+        // Daemon-acked before the crash; the flush at 5ms lands inside
+        // the window and exhausts its single attempt.
+        fs.create(&ctx, &vpath("/f"), Mode::file_default()).unwrap();
+        fs.drain_batches();
+        let s = fs.fault_summary().expect("plan armed");
+        assert_eq!(s.exhausted, 1);
+        assert_eq!(s.lost_acked_ops, 1, "the acked create never landed");
     }
 
     #[test]

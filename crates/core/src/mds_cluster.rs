@@ -523,7 +523,7 @@ pub struct MdsCluster {
     /// [`Self::reset_time`].
     leases_swept: u64,
     /// Armed fault script, if any. `None` (the empty-plan case) keeps
-    /// every fault-aware entry point on the calibrated path.
+    /// the admission check on the calibrated path.
     faults: Option<FaultState>,
     /// `(holder, key)` pairs fenced by crashes and not yet drained by
     /// the client side ([`Self::take_fenced_cache_keys`]).
@@ -624,7 +624,7 @@ impl MdsCluster {
         ops: DbOps,
         t: SimTime,
     ) -> SimTime {
-        let (arrive, rtt) = self.request_prologue(cfg, net, node, shard, t);
+        let (arrive, rtt) = self.request_prologue(cfg, net, node, &[shard], t);
         let s = &mut self.shards[shard.0];
         s.rpcs += 1;
         let service = s.service(cfg, ops);
@@ -636,26 +636,29 @@ impl MdsCluster {
         done + rtt / 2
     }
 
-    /// The shared front half of every single-shard request: session
-    /// establishment on first contact, the periodic lease sweep, and
-    /// the request's travel to the shard. Returns the arrival time at
-    /// the shard and the round trip it will pay coming back, so
-    /// [`Self::rpc`] and [`Self::rpc_batch`] can only ever differ in
-    /// how they price the *service*.
+    /// The shared front half of every request: session establishment
+    /// on first contact with each of `shards`, the periodic lease
+    /// sweep, and the request's travel to the first of them. Returns
+    /// the arrival time there and the round trip it will pay coming
+    /// back, so [`Self::rpc`], [`Self::rpc_batch`] and
+    /// [`Self::rpc_cross`] can only ever differ in how they price the
+    /// *service*.
     fn request_prologue(
         &mut self,
         cfg: &CofsConfig,
         net: &MdsNetwork,
         node: NodeId,
-        shard: ShardId,
+        shards: &[ShardId],
         t: SimTime,
     ) -> (SimTime, SimDuration) {
         let mut t = t;
-        if self.sessions.insert((node, shard.0)) {
-            t += cfg.session_cost;
+        for s in shards {
+            if self.sessions.insert((node, s.0)) {
+                t += cfg.session_cost;
+            }
         }
         self.maybe_sweep_leases(cfg, t);
-        let rtt = net.shard_rtt(node, shard);
+        let rtt = net.shard_rtt(node, shards[0]);
         (t + rtt / 2, rtt)
     }
 
@@ -712,7 +715,7 @@ impl MdsCluster {
         t: SimTime,
     ) -> SimTime {
         assert!(!ops.is_empty(), "a batch RPC carries at least one op");
-        let (arrive, rtt) = self.request_prologue(cfg, net, node, shard, t);
+        let (arrive, rtt) = self.request_prologue(cfg, net, node, &[shard], t);
         // Ship bookkeeping only matters when a crash could consult it;
         // gating on an armed plan keeps fault-free runs allocation-flat.
         let ship_to_standby = cfg.standby.enabled && self.faults.is_some();
@@ -811,14 +814,7 @@ impl MdsCluster {
     ) -> SimTime {
         let (a, b) = shards;
         assert_ne!(a, b, "cross-shard rpc needs two distinct shards");
-        let mut t = t;
-        for s in [a, b] {
-            if self.sessions.insert((node, s.0)) {
-                t += cfg.session_cost;
-            }
-        }
-        self.maybe_sweep_leases(cfg, t);
-        let rtt = net.shard_rtt(node, a);
+        let (arrive_a, rtt) = self.request_prologue(cfg, net, node, &[a, b], t);
         let cross = cfg.cross_shard_rtt;
         // Split the row work between the participants; the coordinator
         // keeps the larger half.
@@ -830,7 +826,6 @@ impl MdsCluster {
             reads: ops.reads - b_ops.reads,
             writes: ops.writes - b_ops.writes,
         };
-        let arrive_a = t + rtt / 2;
         let arrive_b = arrive_a + cross / 2;
         // Phase 1: prepare on both shards.
         let prep_a = {
@@ -863,9 +858,9 @@ impl MdsCluster {
     // ---- fault injection ---------------------------------------------
 
     /// Arms a fault script. An empty plan disarms the subsystem
-    /// entirely — every fault-aware entry point then short-circuits to
-    /// the calibrated path, bit-for-bit. Events are processed in
-    /// `(at, shard)` order as virtual time passes them.
+    /// entirely — the admission check ([`Self::shard_available`]) then
+    /// short-circuits to the calibrated path, bit-for-bit. Events are
+    /// processed in `(at, shard)` order as virtual time passes them.
     pub fn arm_faults(&mut self, plan: FaultPlan) {
         if plan.is_empty() {
             self.faults = None;
@@ -885,8 +880,7 @@ impl MdsCluster {
         });
     }
 
-    /// True when a non-empty fault plan is armed — lets every caller
-    /// bail in one branch on the pinned fault-free path.
+    /// True when a non-empty fault plan is armed.
     pub fn fault_active(&self) -> bool {
         self.faults.is_some()
     }
@@ -1193,13 +1187,17 @@ impl MdsCluster {
         false
     }
 
-    /// Client-side availability probe: advances the fault script to the
-    /// request's predicted arrival and reports whether `shard` would
-    /// accept a request from `node`. A refusal carries the failed round
-    /// trip and any server-supplied retry-after, and counts as a
-    /// shard-side NACK; an admission grant consumed here is remembered,
-    /// so the op the probe admits does not pay twice. Always `Ok` (and
-    /// side-effect-free) with no plan armed.
+    /// The one fault-admission check every request passes before
+    /// [`Self::rpc`], [`Self::rpc_batch`] or [`Self::rpc_cross`] prices
+    /// it. In order: advance the fault script to the send time `t`, let
+    /// a scripted message drop swallow the request (the client learns
+    /// of it only at `t + RetryConfig::timeout`), advance the script to
+    /// the predicted arrival, and ask the shard to accept. A refusal
+    /// carries the failed round trip and any server-supplied
+    /// retry-after, and counts as a shard-side NACK; an admission grant
+    /// consumed here is remembered, so the op it admits does not pay
+    /// twice. With no plan armed it is `Ok` with no side effects, so
+    /// callers need no fault-off branch of their own.
     pub fn shard_available(
         &mut self,
         cfg: &CofsConfig,
@@ -1211,73 +1209,19 @@ impl MdsCluster {
         if self.faults.is_none() {
             return Ok(());
         }
+        self.advance_faults(cfg, t);
+        if self.consume_drop(shard, t) {
+            self.shards[shard.0].drops_hit += 1;
+            return Err(Nack {
+                shard,
+                at: t + cfg.retry.timeout,
+                retry_after: None,
+            });
+        }
         let rtt = net.shard_rtt(node, shard);
         let arrive = t + rtt / 2;
         self.advance_faults(cfg, arrive);
         self.accept(cfg, node, shard, arrive, t + rtt)
-    }
-
-    /// [`Self::rpc`] with fault awareness: with no plan armed it *is*
-    /// `rpc`, bit-for-bit. Otherwise the request can be swallowed by a
-    /// scripted message drop (the client times out) or refused by a
-    /// down shard (fast NACK after one round trip).
-    pub fn rpc_checked(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        ops: DbOps,
-        t: SimTime,
-    ) -> Result<SimTime, Nack> {
-        if self.faults.is_none() {
-            return Ok(self.rpc(cfg, net, node, shard, ops, t));
-        }
-        self.advance_faults(cfg, t);
-        if self.consume_drop(shard, t) {
-            self.shards[shard.0].drops_hit += 1;
-            return Err(Nack {
-                shard,
-                at: t + cfg.retry.timeout,
-                retry_after: None,
-            });
-        }
-        let rtt = net.shard_rtt(node, shard);
-        let arrive = t + rtt / 2;
-        self.advance_faults(cfg, arrive);
-        self.accept(cfg, node, shard, arrive, t + rtt)?;
-        Ok(self.rpc(cfg, net, node, shard, ops, t))
-    }
-
-    /// [`Self::rpc_batch`] with fault awareness — same contract as
-    /// [`Self::rpc_checked`]. In-flight and queued batches hitting a
-    /// crash window are NACKed; the client's pipeline retries them.
-    pub fn rpc_batch_checked(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        ops: &[BatchedOp],
-        t: SimTime,
-    ) -> Result<SimTime, Nack> {
-        if self.faults.is_none() {
-            return Ok(self.rpc_batch(cfg, net, node, shard, ops, t));
-        }
-        self.advance_faults(cfg, t);
-        if self.consume_drop(shard, t) {
-            self.shards[shard.0].drops_hit += 1;
-            return Err(Nack {
-                shard,
-                at: t + cfg.retry.timeout,
-                retry_after: None,
-            });
-        }
-        let rtt = net.shard_rtt(node, shard);
-        let arrive = t + rtt / 2;
-        self.advance_faults(cfg, arrive);
-        self.accept(cfg, node, shard, arrive, t + rtt)?;
-        Ok(self.rpc_batch(cfg, net, node, shard, ops, t))
     }
 
     /// Drains the `(holder, key)` pairs fenced by crashes since the
@@ -2318,6 +2262,19 @@ mod tests {
         assert_eq!(cluster.usage()[1].rpcs, 0);
     }
 
+    /// One single-shard request the way every caller issues it: the
+    /// admission check, then the unconditional `rpc` it guards.
+    fn checked_rpc(
+        cluster: &mut MdsCluster,
+        c: &CofsConfig,
+        n: &MdsNetwork,
+        ops: DbOps,
+        t: SimTime,
+    ) -> Result<SimTime, Nack> {
+        cluster.shard_available(c, n, NodeId(0), ShardId(0), t)?;
+        Ok(cluster.rpc(c, n, NodeId(0), ShardId(0), ops, t))
+    }
+
     #[test]
     fn checked_entry_points_with_no_plan_are_bit_for_bit() {
         let c = cfg();
@@ -2330,9 +2287,7 @@ mod tests {
         a.arm_faults(FaultPlan::default()); // empty plan never arms
         assert!(!a.fault_active());
         let mut b = MdsCluster::new(Box::new(SingleShard));
-        let ta = a
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .unwrap();
+        let ta = checked_rpc(&mut a, &c, &n, ops, SimTime::ZERO).unwrap();
         let tb = b.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
         assert_eq!(ta, tb);
         let batch: Vec<BatchedOp> = vec![
@@ -2342,9 +2297,8 @@ mod tests {
             });
             4
         ];
-        let ba = a
-            .rpc_batch_checked(&c, &n, NodeId(0), ShardId(0), &batch, ta)
-            .unwrap();
+        assert!(a.shard_available(&c, &n, NodeId(0), ShardId(0), ta).is_ok());
+        let ba = a.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, ta);
         let bb = b.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, tb);
         assert_eq!(ba, bb);
         assert!(a.shard_available(&c, &n, NodeId(0), ShardId(0), ba).is_ok());
@@ -2366,15 +2320,11 @@ mod tests {
             reads: 1,
             writes: 0,
         };
-        let first = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .unwrap();
+        let first = checked_rpc(&mut cluster, &c, &n, ops, SimTime::ZERO).unwrap();
         assert!(first > SimTime::ZERO);
         assert_eq!(cluster.epoch(ShardId(0)), 1);
         // A request inside the window is refused after one round trip.
-        let nack = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(12))
-            .unwrap_err();
+        let nack = checked_rpc(&mut cluster, &c, &n, ops, SimTime::from_millis(12)).unwrap_err();
         assert_eq!(nack.shard, ShardId(0));
         assert_eq!(
             nack.at,
@@ -2383,9 +2333,7 @@ mod tests {
         assert_eq!(cluster.epoch(ShardId(0)), 2);
         // After recovery the shard serves again; the node's session was
         // fenced at the crash, so it re-pays establishment.
-        let after = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(20))
-            .unwrap();
+        let after = checked_rpc(&mut cluster, &c, &n, ops, SimTime::from_millis(20)).unwrap();
         let f = cluster.fault_stats();
         assert_eq!(f.crashes, 1);
         assert_eq!(f.nacks, 1);
@@ -2510,16 +2458,10 @@ mod tests {
             reads: 1,
             writes: 0,
         };
-        let e1 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .unwrap_err();
+        let e1 = checked_rpc(&mut cluster, &c, &n, ops, SimTime::ZERO).unwrap_err();
         assert_eq!(e1.at, SimTime::ZERO + c.retry.timeout);
-        let e2 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, e1.at)
-            .unwrap_err();
-        let ok = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, e2.at)
-            .unwrap();
+        let e2 = checked_rpc(&mut cluster, &c, &n, ops, e1.at).unwrap_err();
+        let ok = checked_rpc(&mut cluster, &c, &n, ops, e2.at).unwrap();
         assert!(ok > e2.at);
         let f = cluster.fault_stats();
         assert_eq!(f.drops, 2);
@@ -2581,16 +2523,12 @@ mod tests {
             reads: 1,
             writes: 0,
         };
-        let e1 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(1))
-            .unwrap_err();
+        let e1 = checked_rpc(&mut cluster, &c, &n, ops, SimTime::from_millis(1)).unwrap_err();
         assert_eq!(cluster.epoch(ShardId(0)), 2);
         cluster.reset_time();
         assert_eq!(cluster.epoch(ShardId(0)), 1);
         assert_eq!(cluster.fault_stats(), FaultStats::default());
-        let e2 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(1))
-            .unwrap_err();
+        let e2 = checked_rpc(&mut cluster, &c, &n, ops, SimTime::from_millis(1)).unwrap_err();
         assert_eq!(e1, e2, "the script replays identically after reset");
         assert_eq!(cluster.epoch(ShardId(0)), 2);
     }
@@ -2762,12 +2700,8 @@ mod tests {
             reads: 1,
             writes: 0,
         };
-        assert!(cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .is_ok());
-        let e = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(1))
-            .unwrap_err();
+        assert!(checked_rpc(&mut cluster, &c, &n, ops, SimTime::ZERO).is_ok());
+        let e = checked_rpc(&mut cluster, &c, &n, ops, SimTime::from_millis(1)).unwrap_err();
         assert_eq!(
             e.retry_after, None,
             "no supervisor answers across a severed link"
@@ -2780,9 +2714,7 @@ mod tests {
         assert_eq!(cluster.epoch(ShardId(0)), 1);
         // After the heal the same session keeps working — it was never
         // evicted.
-        assert!(cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(3))
-            .is_ok());
+        assert!(checked_rpc(&mut cluster, &c, &n, ops, SimTime::from_millis(3)).is_ok());
         let f = cluster.fault_stats();
         assert_eq!(f.partition_nacks, 1);
         assert_eq!(f.nacks, 1);

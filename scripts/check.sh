@@ -30,4 +30,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo bench -p cofs-bench --no-run"
 cargo bench -p cofs-bench --no-run
 
+echo "==> cargo test -q --manifest-path perfbench/Cargo.toml (benchmark builds against the crates)"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."
