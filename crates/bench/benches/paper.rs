@@ -346,6 +346,35 @@ fn bench_cascade(c: &mut Criterion) {
     });
 }
 
+/// Driver dispatch with almost nothing under it: `clients` clients,
+/// each stat-ing `/` eight times on `MemFs`, so host time is mostly the
+/// min-clock pick. Its growth with client count is the dispatch cost.
+fn driver_dispatch(clients: u32) -> vfs::driver::RunReport {
+    use netsim::ids::{NodeId, Pid};
+    use vfs::driver::{run, Action, ClientScript};
+    use vfs::memfs::MemFs;
+    use vfs::path::vpath;
+
+    let scripts = (0..clients)
+        .map(|n| {
+            let mut s = ClientScript::new(NodeId(n), Pid(1));
+            for _ in 0..8 {
+                s.push(Action::Stat(vpath("/")));
+            }
+            s
+        })
+        .collect();
+    run(&mut MemFs::new(), scripts)
+}
+
+fn bench_driver(c: &mut Criterion) {
+    for clients in [128, 2048, 8192] {
+        c.bench_function(&format!("driver_dispatch_{clients}"), |b| {
+            b.iter(|| driver_dispatch(clients))
+        });
+    }
+}
+
 fn bench_fig1(c: &mut Criterion) {
     c.bench_function("fig1_single_node_stat_1536", |b| {
         b.iter(|| {
@@ -420,6 +449,6 @@ fn bench_table1(c: &mut Criterion) {
 criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade
+    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_driver
 }
 criterion_main!(paper);

@@ -9,7 +9,112 @@ use crate::time::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Raw samples in recording order, 4 bytes each while every sample fits
+/// in `u32` nanoseconds (under 4.29 s), 8 bytes each from the first
+/// sample that does not.
+#[derive(Debug, Clone)]
+enum Store {
+    Narrow(Vec<u32>),
+    Wide(Vec<SimDuration>),
+}
+
+impl Store {
+    fn len(&self) -> usize {
+        match self {
+            Store::Narrow(v) => v.len(),
+            Store::Wide(v) => v.len(),
+        }
+    }
+
+    fn push(&mut self, d: SimDuration) {
+        match self {
+            Store::Narrow(v) => match u32::try_from(d.as_nanos()) {
+                Ok(ns) => v.push(ns),
+                Err(_) => {
+                    self.widen();
+                    self.push(d);
+                }
+            },
+            Store::Wide(v) => v.push(d),
+        }
+    }
+
+    /// Switches to 8-byte storage, keeping every sample and its order.
+    fn widen(&mut self) {
+        if let Store::Narrow(v) = self {
+            let wide = v
+                .iter()
+                .map(|&ns| SimDuration::from_nanos(u64::from(ns)))
+                .collect();
+            *self = Store::Wide(wide);
+        }
+    }
+}
+
+/// A borrowed view of a [`Summary`]'s raw samples, in recording order.
+///
+/// Two views are equal when they hold the same samples in the same
+/// order, whichever width either summary stores them at.
+#[derive(Clone, Copy)]
+pub enum Samples<'a> {
+    /// Samples stored as `u32` nanoseconds.
+    Narrow(&'a [u32]),
+    /// Samples stored as [`SimDuration`]s.
+    Wide(&'a [SimDuration]),
+}
+
+impl<'a> Samples<'a> {
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        match self {
+            Samples::Narrow(v) => v.len(),
+            Samples::Wide(v) => v.len(),
+        }
+    }
+
+    /// True if there are no samples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The samples in recording order.
+    pub fn iter(&self) -> impl Iterator<Item = SimDuration> + 'a {
+        // One of the two slices is empty; chaining them gives both
+        // widths one iterator type.
+        let (narrow, wide): (&'a [u32], &'a [SimDuration]) = match *self {
+            Samples::Narrow(v) => (v, &[]),
+            Samples::Wide(v) => (&[], v),
+        };
+        narrow
+            .iter()
+            .map(|&ns| SimDuration::from_nanos(u64::from(ns)))
+            .chain(wide.iter().copied())
+    }
+}
+
+impl PartialEq for Samples<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Samples::Narrow(a), Samples::Narrow(b)) => a == b,
+            (Samples::Wide(a), Samples::Wide(b)) => a == b,
+            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl fmt::Debug for Samples<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A collection of duration samples with summary statistics.
+///
+/// Samples are kept losslessly at 4 bytes each while every one fits in
+/// `u32` nanoseconds, i.e. is under 4.29 s. The first sample that does
+/// not fit widens the store once to 8-byte [`SimDuration`]s, and it
+/// stays wide. The width never shows in results: [`Summary::samples`]
+/// returns the same durations in the same order either way.
 ///
 /// # Examples
 ///
@@ -25,7 +130,7 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct Summary {
     name: String,
-    samples: Vec<SimDuration>,
+    samples: Store,
     sum_ns: u128,
     min: SimDuration,
     max: SimDuration,
@@ -38,7 +143,7 @@ impl Summary {
     pub fn new(name: impl Into<String>) -> Self {
         Summary {
             name: name.into(),
-            samples: Vec::new(),
+            samples: Store::Narrow(Vec::new()),
             sum_ns: 0,
             min: SimDuration::from_nanos(u64::MAX),
             max: SimDuration::ZERO,
@@ -67,21 +172,21 @@ impl Summary {
 
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count() == 0
     }
 
     /// Arithmetic mean (zero when empty).
     pub fn mean(&self) -> SimDuration {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             SimDuration::ZERO
         } else {
-            SimDuration::from_nanos((self.sum_ns / self.samples.len() as u128) as u64)
+            SimDuration::from_nanos((self.sum_ns / self.count() as u128) as u64)
         }
     }
 
     /// Mean in milliseconds as a float — the unit of the paper's figures.
     pub fn mean_millis(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
             self.mean_ns / 1e6
@@ -90,7 +195,7 @@ impl Summary {
 
     /// Smallest sample (zero when empty).
     pub fn min(&self) -> SimDuration {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             SimDuration::ZERO
         } else {
             self.min
@@ -109,10 +214,10 @@ impl Summary {
 
     /// Sample standard deviation (zero with fewer than two samples).
     pub fn std_dev_millis(&self) -> f64 {
-        if self.samples.len() < 2 {
+        if self.count() < 2 {
             0.0
         } else {
-            (self.m2 / (self.samples.len() - 1) as f64).sqrt() / 1e6
+            (self.m2 / (self.count() - 1) as f64).sqrt() / 1e6
         }
     }
 
@@ -123,13 +228,22 @@ impl Summary {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> SimDuration {
         assert!((0.0..=1.0).contains(&q), "quantile must be within [0, 1]");
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return SimDuration::ZERO;
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((q * (sorted.len() - 1) as f64).round()) as usize;
-        sorted[rank]
+        let rank = ((q * (self.count() - 1) as f64).round()) as usize;
+        match &self.samples {
+            Store::Narrow(v) => {
+                let mut sorted = v.clone();
+                sorted.sort_unstable();
+                SimDuration::from_nanos(u64::from(sorted[rank]))
+            }
+            Store::Wide(v) => {
+                let mut sorted = v.clone();
+                sorted.sort_unstable();
+                sorted[rank]
+            }
+        }
     }
 
     /// Diagnostic name.
@@ -138,13 +252,16 @@ impl Summary {
     }
 
     /// All raw samples, in recording order.
-    pub fn samples(&self) -> &[SimDuration] {
-        &self.samples
+    pub fn samples(&self) -> Samples<'_> {
+        match &self.samples {
+            Store::Narrow(v) => Samples::Narrow(v),
+            Store::Wide(v) => Samples::Wide(v),
+        }
     }
 
     /// Merges another summary's samples into this one.
     pub fn merge(&mut self, other: &Summary) {
-        for &s in &other.samples {
+        for s in other.samples().iter() {
             self.record(s);
         }
     }
@@ -292,6 +409,107 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), ms(2));
+    }
+
+    /// Every statistic of `s` equals the same statistic computed
+    /// directly from the plain sample list `reference`.
+    fn assert_matches_reference(s: &Summary, reference: &[SimDuration]) {
+        assert_eq!(s.samples().iter().collect::<Vec<_>>(), reference);
+        assert_eq!(s.samples().len(), reference.len());
+        let n = reference.len() as u64;
+        let total: u64 = reference.iter().map(|d| d.as_nanos()).sum();
+        assert_eq!(s.total(), SimDuration::from_nanos(total));
+        assert_eq!(s.mean(), SimDuration::from_nanos(total / n));
+        assert_eq!(s.min(), *reference.iter().min().unwrap());
+        assert_eq!(s.max(), *reference.iter().max().unwrap());
+        let mut sorted = reference.to_vec();
+        sorted.sort_unstable();
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            let rank = ((q * (sorted.len() - 1) as f64).round()) as usize;
+            assert_eq!(s.quantile(q), sorted[rank], "q={q}");
+        }
+        let mean = total as f64 / n as f64;
+        let sd = if n < 2 {
+            0.0
+        } else {
+            let ss: f64 = reference
+                .iter()
+                .map(|d| (d.as_nanos() as f64 - mean).powi(2))
+                .sum();
+            (ss / (n - 1) as f64).sqrt() / 1e6
+        };
+        assert!(
+            (s.std_dev_millis() - sd).abs() <= 1e-9 * sd.max(1.0),
+            "std dev {} vs {sd}",
+            s.std_dev_millis()
+        );
+    }
+
+    #[test]
+    fn storage_is_lossless_across_the_u32_boundary() {
+        let limit = u64::from(u32::MAX);
+        let mut s = Summary::new("x");
+        let mut reference = Vec::new();
+        for (ns, narrow_after) in [
+            (7, true),
+            (limit - 1, true),
+            (0, true),
+            (limit, true),
+            (limit + 1, false),
+            (3, false),
+            (u64::from(u32::MAX) * 5, false),
+            (limit, false),
+        ] {
+            let d = SimDuration::from_nanos(ns);
+            s.record(d);
+            reference.push(d);
+            assert_eq!(
+                matches!(s.samples(), Samples::Narrow(_)),
+                narrow_after,
+                "after recording {ns} ns"
+            );
+            assert_matches_reference(&s, &reference);
+        }
+    }
+
+    #[test]
+    fn narrow_and_widened_summaries_with_equal_samples_compare_equal() {
+        let mut narrow = Summary::new("n");
+        for v in [3, 1, 2, 2] {
+            narrow.record(ms(v));
+        }
+        let mut wide = narrow.clone();
+        wide.samples.widen();
+        assert!(matches!(narrow.samples(), Samples::Narrow(_)));
+        assert!(matches!(wide.samples(), Samples::Wide(_)));
+        assert_eq!(narrow.samples(), wide.samples());
+        assert_eq!(wide.samples(), narrow.samples());
+        assert_eq!(
+            format!("{:?}", narrow.samples()),
+            format!("{:?}", wide.samples())
+        );
+        // Same multiset, different order: not equal.
+        let mut reordered = Summary::new("r");
+        for v in [1, 2, 2, 3] {
+            reordered.record(ms(v));
+        }
+        reordered.samples.widen();
+        assert_ne!(narrow.samples(), reordered.samples());
+        assert_eq!(narrow.quantile(0.5), wide.quantile(0.5));
+    }
+
+    #[test]
+    fn merging_a_wide_summary_into_a_narrow_one_widens() {
+        let mut narrow = Summary::new("n");
+        narrow.record(ms(1));
+        narrow.record(ms(2));
+        let mut wide = Summary::new("w");
+        wide.record(SimDuration::from_secs(5));
+        wide.record(ms(4));
+        assert!(matches!(wide.samples(), Samples::Wide(_)));
+        narrow.merge(&wide);
+        assert!(matches!(narrow.samples(), Samples::Wide(_)));
+        assert_matches_reference(&narrow, &[ms(1), ms(2), SimDuration::from_secs(5), ms(4)]);
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! when every *running* client has arrived, and all arrivals leave with
 //! the maximum arrival clock — exactly how MPI benchmarks like
 //! metarates synchronize their phases.
+//!
+//! Dispatch costs O(log N) per step for N clients. Runnable clients sit
+//! in a binary min-heap keyed by `(clock, index)`, so the pick is the
+//! smallest clock and a tie goes to the lower client index. Barrier
+//! release needs no scan either: the driver counts unfinished clients
+//! and lists barrier arrivals, and releases when the two counts match.
+//! Released clients with steps left go back on the heap at the release
+//! clock.
 
 use crate::error::FsError;
 use crate::fs::{FileSystem, OpCtx};
@@ -19,7 +27,8 @@ use crate::types::{Gid, Mode, OpenFlags, Uid};
 use netsim::ids::{NodeId, Pid};
 use simcore::stats::Summary;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// One scripted filesystem action.
 ///
@@ -219,8 +228,6 @@ struct ClientState {
     next_step: usize,
     clock: SimTime,
     slots: Vec<Option<crate::types::FileHandle>>,
-    at_barrier: bool,
-    finished: bool,
 }
 
 /// Runs a set of client scripts against a filesystem, starting all
@@ -266,12 +273,23 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                 next_step: 0,
                 clock: SimTime::ZERO,
                 slots: vec![None; max_slot],
-                at_barrier: false,
-                finished: script.steps.is_empty(),
                 script,
             }
         })
         .collect();
+
+    // Clients with a step to run and not waiting at a barrier, keyed by
+    // `(clock, index)`: the minimum is the min-clock pick, ties going
+    // to the lower index.
+    let mut runnable: BinaryHeap<Reverse<(SimTime, usize)>> = clients
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !c.script.steps.is_empty())
+        .map(|(i, c)| Reverse((c.clock, i)))
+        .collect();
+    let mut unfinished = runnable.len();
+    // Clients that arrived at a barrier, in arrival order.
+    let mut waiting: Vec<usize> = Vec::new();
 
     let mut per_label: BTreeMap<&'static str, Summary> = BTreeMap::new();
     let mut errors = Vec::new();
@@ -282,26 +300,22 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
     #[cfg(debug_assertions)]
     let mut dispatch_watermark = SimTime::ZERO;
 
-    loop {
+    while unfinished > 0 {
         // Release a barrier if every unfinished client is waiting at one.
-        let unfinished = clients.iter().filter(|c| !c.finished).count();
-        if unfinished == 0 {
-            break;
-        }
-        let waiting = clients.iter().filter(|c| c.at_barrier).count();
-        if waiting == unfinished {
-            let release = clients
+        if waiting.len() == unfinished {
+            let release = waiting
                 .iter()
-                .filter(|c| c.at_barrier)
-                .map(|c| c.clock)
+                .map(|&i| clients[i].clock)
                 .max()
                 .unwrap_or(SimTime::ZERO);
-            for c in clients.iter_mut().filter(|c| c.at_barrier) {
+            for i in waiting.drain(..) {
+                let c = &mut clients[i];
                 c.clock = release;
-                c.at_barrier = false;
                 c.next_step += 1;
-                if c.next_step >= c.script.steps.len() {
-                    c.finished = true;
+                if c.next_step < c.script.steps.len() {
+                    runnable.push(Reverse((release, i)));
+                } else {
+                    unfinished -= 1;
                 }
             }
             // A release starts a new monotonicity epoch: a client that
@@ -315,54 +329,55 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
             continue;
         }
 
-        // Pick the runnable client with the smallest clock.
-        let Some(idx) = clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.finished && !c.at_barrier)
-            .min_by_key(|(i, c)| (c.clock, *i))
-            .map(|(i, _)| i)
-        else {
-            // Everyone left is at a barrier or finished; loop handles it.
-            continue;
+        let Some(Reverse((now, idx))) = runnable.pop() else {
+            unreachable!(
+                "no runnable client: {unfinished} unfinished, {} waiting at a barrier",
+                waiting.len()
+            );
         };
         #[cfg(debug_assertions)]
         {
             debug_assert!(
-                clients[idx].clock >= dispatch_watermark,
-                "virtual time regressed: dispatching at {:?} after {:?}",
-                clients[idx].clock,
-                dispatch_watermark
+                now >= dispatch_watermark,
+                "virtual time regressed: dispatching at {now:?} after {dispatch_watermark:?}"
             );
-            dispatch_watermark = clients[idx].clock;
+            dispatch_watermark = now;
         }
 
-        let step_idx = clients[idx].next_step;
-        let step = clients[idx].script.steps[step_idx].clone();
+        // Borrow the step from the script while the slots stay mutable.
+        let ClientState {
+            script,
+            next_step,
+            clock,
+            slots,
+        } = &mut clients[idx];
+        debug_assert_eq!(now, *clock, "heap key out of step with the client clock");
+        let step_idx = *next_step;
+        let step = &script.steps[step_idx];
         if matches!(step.action, Action::Barrier) {
-            clients[idx].at_barrier = true;
+            waiting.push(idx);
             continue;
         }
 
         let ctx = OpCtx {
-            node: clients[idx].script.node,
-            pid: clients[idx].script.pid,
-            uid: clients[idx].script.uid,
-            gid: clients[idx].script.gid,
-            now: clients[idx].clock,
+            node: script.node,
+            pid: script.pid,
+            uid: script.uid,
+            gid: script.gid,
+            now,
         };
 
         let outcome: Result<SimTime, FsError> = match &step.action {
             Action::Mkdir(path, mode) => fs.mkdir(&ctx, path, *mode).map(|t| t.end),
             Action::Create { path, mode, slot } => fs.create(&ctx, path, *mode).map(|t| {
-                clients[idx].slots[*slot] = Some(t.value);
+                slots[*slot] = Some(t.value);
                 t.end
             }),
             Action::Open { path, flags, slot } => fs.open(&ctx, path, *flags).map(|t| {
-                clients[idx].slots[*slot] = Some(t.value);
+                slots[*slot] = Some(t.value);
                 t.end
             }),
-            Action::Close { slot } => match clients[idx].slots[*slot].take() {
+            Action::Close { slot } => match slots[*slot].take() {
                 Some(fh) => fs.close(&ctx, fh).map(|t| t.end),
                 None => Err(FsError::new(
                     crate::error::Errno::EBADF,
@@ -374,7 +389,7 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                 let ctx2 = ctx.at(t.end);
                 fs.close(&ctx2, t.value).map(|t2| t2.end)
             }),
-            Action::Read { slot, offset, len } => match clients[idx].slots[*slot] {
+            Action::Read { slot, offset, len } => match slots[*slot] {
                 Some(fh) => fs.read(&ctx, fh, *offset, *len).map(|t| t.end),
                 None => Err(FsError::new(
                     crate::error::Errno::EBADF,
@@ -382,7 +397,7 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                     format!("slot {slot}"),
                 )),
             },
-            Action::Write { slot, offset, len } => match clients[idx].slots[*slot] {
+            Action::Write { slot, offset, len } => match slots[*slot] {
                 Some(fh) => fs.write(&ctx, fh, *offset, *len).map(|t| t.end),
                 None => Err(FsError::new(
                     crate::error::Errno::EBADF,
@@ -398,7 +413,7 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
             Action::Barrier => unreachable!("handled above"),
         };
 
-        match outcome {
+        let end = match outcome {
             Ok(end) => {
                 debug_assert!(end >= ctx.now, "operations never complete in the past");
                 if let Some(label) = step.label {
@@ -407,28 +422,28 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                         .or_insert_with(|| Summary::new(label))
                         .record(end.saturating_since(ctx.now));
                 }
-                clients[idx].clock = end;
+                end
             }
             Err(error) => {
                 // A failure that reports when it was known (e.g. an
                 // ENOENT that cost a real round trip) advances the
                 // clock honestly; otherwise the nominal penalty keeps a
                 // broken script from spinning forever.
-                let end = error
-                    .end()
-                    .unwrap_or(clients[idx].clock + ERROR_COST)
-                    .max(clients[idx].clock);
+                let end = error.end().unwrap_or(now + ERROR_COST).max(now);
                 errors.push(RunError {
                     client: idx,
                     step: step_idx,
                     error,
                 });
-                clients[idx].clock = end;
+                end
             }
-        }
-        clients[idx].next_step += 1;
-        if clients[idx].next_step >= clients[idx].script.steps.len() {
-            clients[idx].finished = true;
+        };
+        *clock = end;
+        *next_step += 1;
+        if *next_step < script.steps.len() {
+            runnable.push(Reverse((end, idx)));
+        } else {
+            unfinished -= 1;
         }
     }
 
