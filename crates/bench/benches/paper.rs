@@ -75,6 +75,39 @@ fn bench_mds(c: &mut Criterion) {
     });
 }
 
+/// `Mds::readdir` alone on one directory of N files: the range scan
+/// over the entry rows, with the namespace built outside the timing.
+fn bench_mds_readdir(c: &mut Criterion) {
+    use cofs::mds::{Cred, Mds};
+    use simcore::time::SimTime;
+    use vfs::path::vpath;
+    use vfs::types::{Gid, Mode, Uid};
+
+    let cred = Cred {
+        uid: Uid(1000),
+        gid: Gid(1000),
+    };
+    let dir = vpath("/d");
+    for files in [256, 2048] {
+        let mut mds = Mds::new();
+        mds.mkdir(cred, &dir, Mode::dir_default(), SimTime::ZERO)
+            .unwrap();
+        for i in 0..files {
+            mds.create(
+                cred,
+                &dir.join(&format!("f{i}")),
+                Mode::file_default(),
+                vpath(&format!("/.u/f{i}")),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        c.bench_function(&format!("mds_readdir_{files}"), |b| {
+            b.iter(|| mds.readdir(cred, &dir).unwrap())
+        });
+    }
+}
+
 /// The hot-stat storm in the metadata-service limit, with and without
 /// the client cache — measures the simulator's wall-clock cost of the
 /// cache bookkeeping itself (the *virtual*-time win is asserted by the
@@ -449,6 +482,6 @@ fn bench_table1(c: &mut Criterion) {
 criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_driver
+    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_mds_readdir, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_driver
 }
 criterion_main!(paper);

@@ -1072,13 +1072,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
         self.counters.bump("op_readdir");
         let t = self.fuse(ctx);
-        let (list, ops) = self
-            .mds
-            .namespace_mut()
-            .readdir(Self::cred(ctx), path, ctx.now)?;
+        let (list, dir, ops) = self.mds.namespace().readdir(Self::cred(ctx), path)?;
         // The entry list lives with the children, not with the
         // directory's own dentry; a live dentry lease lists locally.
         let t = self.cached_read(ctx, EntryKind::Dentry, "readdir", path, ops, t)?;
+        // Admitted: only now does the listing touch the namespace.
+        self.mds.namespace_mut().touch_atime(dir, ctx.now);
         Ok(Timed::new(list, t))
     }
 
@@ -1998,6 +1997,31 @@ mod tests {
         // name is still absent — a failed create has no partial effect.
         let after = ctx.at(SimTime::from_secs(2));
         assert!(fs.stat(&after, &vpath("/f")).unwrap_err().is(Errno::ENOENT));
+    }
+
+    #[test]
+    fn retry_exhausted_readdir_leaves_atime_untouched() {
+        let plan = crate::fault::FaultPlan::default().crash(
+            crate::mds_cluster::ShardId(0),
+            SimTime::from_millis(1),
+            SimDuration::from_millis(100),
+        );
+        let retry = crate::fault::RetryConfig {
+            max_retries: 0,
+            ..crate::fault::RetryConfig::default()
+        };
+        let mut fs = fault_fs(plan, retry);
+        let ctx = OpCtx::test(NodeId(0));
+        fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
+        let late = ctx.at(SimTime::from_millis(2));
+        let e = fs.readdir(&late, &vpath("/d")).unwrap_err();
+        assert!(e.is(Errno::EIO));
+        assert_eq!(fs.retry_stats().exhausted, 1);
+        // A refused listing fails without effect: after recovery the
+        // directory still carries the atime mkdir gave it.
+        let after = ctx.at(SimTime::from_secs(2));
+        let attr = fs.stat(&after, &vpath("/d")).unwrap().value;
+        assert_eq!(attr.atime, ctx.now);
     }
 
     #[test]

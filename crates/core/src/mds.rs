@@ -89,7 +89,10 @@ impl InodeRec {
     }
 }
 
-/// A row in the directory-entry table: (parent ino, name) → child ino.
+/// A row in the directory-entry table: (parent ino, name) → child ino
+/// and the child's type. The type is the entry's `d_type`: an inode's
+/// type never changes, so the row can carry it and a listing needs no
+/// inode fetch per entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DentryRec {
     /// Containing directory's virtual inode.
@@ -98,6 +101,8 @@ pub struct DentryRec {
     pub name: String,
     /// Referenced virtual inode.
     pub ino: u64,
+    /// Type of the referenced inode (`d_type`).
+    pub ftype: FileType,
 }
 
 impl Record for DentryRec {
@@ -378,6 +383,10 @@ pub struct Cred {
 const ROOT_INO: u64 = 1;
 
 /// The metadata service state: two tables and an inode allocator.
+///
+/// Each directory-entry row carries its child's type (`d_type`), so
+/// [`Mds::readdir`] is one range scan over the directory's entry rows
+/// with no inode fetch per entry.
 #[derive(Debug)]
 pub struct Mds {
     inodes: Table<InodeRec>,
@@ -656,6 +665,7 @@ impl Mds {
                 parent: pino,
                 name,
                 ino,
+                ftype: FileType::Regular,
             })
             .expect("checked for duplicates");
         ops.write(2);
@@ -689,6 +699,7 @@ impl Mds {
                 parent: pino,
                 name,
                 ino,
+                ftype: FileType::Directory,
             })
             .expect("checked for duplicates");
         ops.write(2);
@@ -870,15 +881,19 @@ impl Mds {
 
     /// Lists a virtual directory straight from the dentry table.
     ///
+    /// Returns the listing, the directory's inode and the operation's
+    /// [`DbOps`]. The ops include the one-row `atime` write, which the
+    /// caller applies with [`Mds::touch_atime`] only once the request
+    /// has been admitted, so a refused listing leaves no trace.
+    ///
     /// # Errors
     ///
     /// `ENOTDIR`, `EACCES`, plus lookup errors.
     pub fn readdir(
-        &mut self,
+        &self,
         cred: Cred,
         path: &VPath,
-        now: SimTime,
-    ) -> Result<(Vec<DirEntry>, DbOps), FsError> {
+    ) -> Result<(Vec<DirEntry>, u64, DbOps), FsError> {
         let mut ops = DbOps::default();
         let ino = self.resolve(cred, path, "readdir", true, 0, &mut ops)?;
         let node = self.get(ino);
@@ -892,21 +907,29 @@ impl Mds {
         {
             return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
         }
-        let list: Vec<DirEntry> = self
-            .dentries
-            .scan((ino, String::new())..(ino + 1, String::new()))
-            .map(|d| DirEntry {
-                name: d.name.clone(),
-                ino: Ino(d.ino),
-                ftype: self.get(d.ino).ftype,
-            })
-            .collect();
+        // `entries` is the authoritative child count; here it only
+        // sizes the allocation.
+        let mut list = Vec::with_capacity(node.entries as usize);
+        list.extend(
+            self.dentries
+                .scan((ino, String::new())..(ino + 1, String::new()))
+                .map(|d| DirEntry {
+                    name: d.name.clone(),
+                    ino: Ino(d.ino),
+                    ftype: d.ftype,
+                }),
+        );
         ops.read(list.len() as u64 + 1);
+        ops.write(1);
+        Ok((list, ino, ops))
+    }
+
+    /// Sets the access time of the directory a [`Mds::readdir`]
+    /// listed; its write is already counted in that call's [`DbOps`].
+    pub fn touch_atime(&mut self, ino: u64, now: SimTime) {
         self.inodes
             .update(&ino, |r| r.atime = now)
             .expect("inode exists");
-        ops.write(1);
-        Ok((list, ops))
     }
 
     /// Creates a hard link — pure metadata in COFS, regardless of
@@ -924,7 +947,8 @@ impl Mds {
     ) -> Result<DbOps, FsError> {
         let mut ops = DbOps::default();
         let ino = self.resolve(cred, existing, "link", true, 0, &mut ops)?;
-        if self.get(ino).ftype == FileType::Directory {
+        let ftype = self.get(ino).ftype;
+        if ftype == FileType::Directory {
             return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
         }
         let (pino, name) = self.resolve_parent(cred, new, "link", &mut ops)?;
@@ -938,6 +962,7 @@ impl Mds {
                 parent: pino,
                 name,
                 ino,
+                ftype,
             })
             .expect("checked for duplicates");
         self.inodes
@@ -985,6 +1010,7 @@ impl Mds {
                 parent: pino,
                 name,
                 ino,
+                ftype: FileType::Symlink,
             })
             .expect("checked for duplicates");
         ops.write(2);
@@ -1040,7 +1066,7 @@ impl Mds {
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?
             .clone();
         ops.read(1);
-        let src_is_dir = self.get(src.ino).ftype == FileType::Directory;
+        let src_is_dir = src.ftype == FileType::Directory;
         if let Some(dst) = self.dentries.get(&(to_pino, to_name.clone())).cloned() {
             ops.read(1);
             let dst_rec = self.get(dst.ino).clone();
@@ -1090,6 +1116,7 @@ impl Mds {
                 parent: to_pino,
                 name: to_name,
                 ino: src.ino,
+                ftype: src.ftype,
             })
             .expect("target slot cleared");
         ops.write(2);
@@ -1225,13 +1252,48 @@ mod tests {
             )
             .unwrap();
         }
-        let (list, ops) = mds.readdir(cred(), &vpath("/d"), t(3)).unwrap();
+        let (list, _, ops) = mds.readdir(cred(), &vpath("/d")).unwrap();
         let names: Vec<&str> = list.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
         assert!(ops.reads >= 4);
         // Directory size attr reflects entries.
         let (d, _) = mds.getattr(cred(), &vpath("/d")).unwrap();
         assert_eq!(d.attr().size, 3 * 32);
+
+        // Every dentry insert site stores its child's type: mkdir,
+        // symlink, link, and rename of a file over an existing name
+        // and of a directory.
+        mds.mkdir(cred(), &vpath("/d/sub"), Mode::dir_default(), t(4))
+            .unwrap();
+        mds.symlink(cred(), "a", &vpath("/d/ln"), t(4)).unwrap();
+        mds.link(cred(), &vpath("/d/a"), &vpath("/d/hl"), t(4))
+            .unwrap();
+        mds.create(
+            cred(),
+            &vpath("/d/tmp"),
+            Mode::file_default(),
+            vpath("/.u/tmp"),
+            t(4),
+        )
+        .unwrap();
+        mds.rename(cred(), &vpath("/d/tmp"), &vpath("/d/b"), t(5))
+            .unwrap();
+        mds.mkdir(cred(), &vpath("/d/s0"), Mode::dir_default(), t(5))
+            .unwrap();
+        mds.rename(cred(), &vpath("/d/s0"), &vpath("/d/s1"), t(6))
+            .unwrap();
+        let (list, _, _) = mds.readdir(cred(), &vpath("/d")).unwrap();
+        let names: Vec<&str> = list.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "b", "c", "hl", "ln", "s1", "sub"]);
+        for e in &list {
+            let path = vpath(&format!("/d/{}", e.name));
+            let (rec, _) = mds.getattr(cred(), &path).unwrap();
+            assert_eq!(e.ftype, rec.attr().ftype, "{path}");
+            assert_eq!(e.ino, rec.attr().ino, "{path}");
+        }
+        use FileType::{Directory as D, Regular as R, Symlink as S};
+        let kinds: Vec<FileType> = list.iter().map(|e| e.ftype).collect();
+        assert_eq!(kinds, vec![R, R, R, R, S, D, D]);
     }
 
     #[test]
