@@ -244,7 +244,8 @@ pub struct FaultStats {
     /// out the scripted downtime.
     pub promotions: u64,
     /// Journal rows replayed from the replication-lag suffix at
-    /// promotion (shipped-but-unacknowledged tail on the standby).
+    /// promotion (appends acked by the crash but still in flight to
+    /// the standby).
     pub lag_replayed_rows: u64,
     /// Session re-admissions deferred by post-recovery admission control.
     pub admission_defers: u64,

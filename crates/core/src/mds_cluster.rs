@@ -19,6 +19,24 @@
 //! commit: both shards prepare, exchange votes over the inter-shard
 //! link, and commit — strictly more expensive than the single-shard
 //! path, but still atomic in outcome.
+//!
+//! Write-behind journal: each shard keeps one log of acked mutation
+//! batches, appended once per batch by [`MdsCluster::rpc_batch`]. Its
+//! two consumers each keep a per-entry view: the primary's deferred
+//! apply (read by the durability clamp, cold-restart replay and
+//! [`MdsCluster::apply_horizon`]) and, in standby mode with a fault
+//! plan armed, the ship to the hot standby (read by promotion). An
+//! entry leaves the apply view when a clamp finds it applied, leaves
+//! the ship view when a promotion settles it, and leaves the log once
+//! it has left both. Prefix cursors would not be exact: a slow ship can
+//! outlive the apply, and a crash re-times only the applies it
+//! interrupts.
+//!
+//! Crash approximation: a scripted crash is processed when a request
+//! first reaches its instant, so batches acked after the crash may
+//! already be priced. They keep their schedule; only entries acked by
+//! the crash and still unapplied move their apply to the resume, which
+//! can leave them applying after entries acked later.
 
 use crate::batch::{coalesce_writes, BatchedOp};
 use crate::client_cache::{EntryKind, LeaseKey};
@@ -275,42 +293,37 @@ pub struct ShardUsage {
     pub migrations: u64,
 }
 
-/// One acked-but-unapplied batch in a shard's write-behind journal:
-/// the durability-window bookkeeping [`MdsCluster::rpc_batch`] keeps
-/// per shard. Ordered by ack time by construction (acks come off one
-/// CPU queue).
+/// One acked batch in a shard's write-behind journal, appended by
+/// [`MdsCluster::rpc_batch`]. Ordered by ack time by construction
+/// (acks come off one CPU queue). The log has two consumers, each
+/// with its own per-entry view (see the module docs): the primary's
+/// deferred apply and the hot standby's ship.
 #[derive(Debug, Clone)]
-struct UnappliedEntry {
+struct JournalEntry {
     /// When the batch was acked (journal append completed).
     acked: SimTime,
-    /// When its coalesced row application finishes on the shard CPU.
-    apply_done: SimTime,
+    /// When its coalesced row application finishes on the shard CPU;
+    /// `None` once a durability clamp has found it applied.
+    applied: Option<SimTime>,
+    /// When the standby holds the append durably — a pure function of
+    /// the ack time, the inter-shard link, and the standby's append
+    /// cost, never of client traffic, so promotion can classify the
+    /// batch as shipped or in flight at any crash instant. `None` when
+    /// nothing was shipped, or once a promotion has settled the batch.
+    shipped: Option<SimTime>,
     /// Operations the batch carried (what the op-count limit bounds).
     ops: u64,
-    /// Coalesced rows awaiting application — the journal-replay work a
-    /// crash in the ack-to-apply window would have to redo.
+    /// Coalesced rows the batch applies — the replay work a crash
+    /// before its apply (or its ship) has to redo.
     rows: u64,
 }
 
-/// One journal append shipped (asynchronously) to the shard's hot
-/// standby. `ship_done` is when the standby has durably appended it —
-/// a pure function of the ack time, the inter-shard link, and the
-/// standby's append cost, never of client traffic, so promotion can
-/// classify any batch as shipped-or-in-flight at an arbitrary crash
-/// instant. Kept separately from [`UnappliedEntry`] because the
-/// durability clamp prunes entries once *the primary* applies them,
-/// while a late ship can outlive that: a row applied on the primary
-/// but still in flight to the standby must be replayed at promotion.
-#[derive(Debug, Clone)]
-struct ShipEntry {
-    /// When the primary acked the batch (journal append completed).
-    acked: SimTime,
-    /// When the standby has the append durably.
-    ship_done: SimTime,
-    /// Operations the batch carried.
-    ops: u64,
-    /// Coalesced rows the batch will apply.
-    rows: u64,
+impl JournalEntry {
+    /// True once both consumers are done with the entry, so the log
+    /// can drop it.
+    fn settled(&self) -> bool {
+        self.applied.is_none() && self.shipped.is_none()
+    }
 }
 
 /// Post-recovery admission state, created when a shard resumes (or is
@@ -360,7 +373,14 @@ struct Shard {
     batches: u64,
     rows_coalesced: u64,
     apply_lag: SimDuration,
-    unapplied: Vec<UnappliedEntry>,
+    /// The write-behind journal (empty with write-behind off).
+    journal: Vec<JournalEntry>,
+    /// Scan hint for the apply view: no entry before this index is in
+    /// it (entries after it may have left it too). Entries never
+    /// re-enter the view, so only compaction moves the hint back; it
+    /// lets apply-view scans skip the ship-only head the log grows
+    /// between promotions.
+    apply_from: usize,
     splits: u64,
     merges: u64,
     migrations: u64,
@@ -375,9 +395,6 @@ struct Shard {
     lost_acked_ops: u64,
     downtime: SimDuration,
     recovery_busy: SimDuration,
-    /// Journal appends shipped to the hot standby and not yet settled
-    /// by a crash (standby mode only; empty otherwise).
-    ship_tail: Vec<ShipEntry>,
     promotions: u64,
     lag_replayed_rows: u64,
     partition_nacks: u64,
@@ -398,7 +415,8 @@ impl Shard {
             batches: 0,
             rows_coalesced: 0,
             apply_lag: SimDuration::ZERO,
-            unapplied: Vec::new(),
+            journal: Vec::new(),
+            apply_from: 0,
             splits: 0,
             merges: 0,
             migrations: 0,
@@ -411,7 +429,6 @@ impl Shard {
             lost_acked_ops: 0,
             downtime: SimDuration::ZERO,
             recovery_busy: SimDuration::ZERO,
-            ship_tail: Vec::new(),
             promotions: 0,
             lag_replayed_rows: 0,
             partition_nacks: 0,
@@ -435,17 +452,30 @@ impl Shard {
     ) -> SimTime {
         let mut t = t;
         loop {
-            self.unapplied.retain(|e| e.apply_done > t);
-            let outstanding: u64 = self.unapplied.iter().map(|e| e.ops).sum();
+            let mut settled = false;
+            for e in &mut self.journal[self.apply_from..] {
+                if e.applied.is_some_and(|done| done <= t) {
+                    e.applied = None;
+                    settled |= e.settled();
+                }
+            }
+            if settled {
+                self.drop_settled();
+            }
+            self.apply_from += self.journal[self.apply_from..]
+                .iter()
+                .take_while(|e| e.applied.is_none())
+                .count();
+            let outstanding: u64 = self.apply_view().map(|(e, _)| e.ops).sum();
             let over_ops = outstanding + incoming_ops > wb.max_unapplied_ops;
             let over_age = self
-                .unapplied
-                .first()
-                .is_some_and(|e| e.acked + wb.max_unapplied_window < t);
+                .apply_view()
+                .next()
+                .is_some_and(|(e, _)| e.acked + wb.max_unapplied_window < t);
             if !over_ops && !over_age {
                 break;
             }
-            let Some(earliest) = self.unapplied.iter().map(|e| e.apply_done).min() else {
+            let Some(earliest) = self.apply_view().map(|(_, done)| done).min() else {
                 // A single batch larger than the op budget: nothing
                 // outstanding to wait for, admit it (the window bounds
                 // *accumulation*, not one batch's size).
@@ -454,16 +484,29 @@ impl Shard {
             t = t.max(earliest);
         }
         debug_assert!(
-            self.unapplied.is_empty()
-                || (self.unapplied.iter().map(|e| e.ops).sum::<u64>() + incoming_ops
+            self.apply_view().next().is_none()
+                || (self.apply_view().map(|(e, _)| e.ops).sum::<u64>() + incoming_ops
                     <= wb.max_unapplied_ops
                     && self
-                        .unapplied
-                        .iter()
-                        .all(|e| e.acked + wb.max_unapplied_window >= t)),
+                        .apply_view()
+                        .all(|(e, _)| e.acked + wb.max_unapplied_window >= t)),
             "acked-but-unapplied work exceeds the durability window"
         );
         t
+    }
+
+    /// The journal's apply view: every entry no clamp has yet found
+    /// applied, with its apply completion time.
+    fn apply_view(&self) -> impl Iterator<Item = (&JournalEntry, SimTime)> {
+        self.journal[self.apply_from..]
+            .iter()
+            .filter_map(|e| e.applied.map(|done| (e, done)))
+    }
+
+    /// Drops every entry both consumers are done with.
+    fn drop_settled(&mut self) {
+        self.journal.retain(|e| !e.settled());
+        self.apply_from = 0;
     }
 
     /// Service demand of one request on this shard, advancing the
@@ -759,29 +802,22 @@ impl MdsCluster {
                 s.cpu.acquire(acked, apply_service).end
             };
             s.apply_lag = s.apply_lag.max(apply_done - acked);
-            let rows: u64 = applied.iter().sum();
-            s.unapplied.push(UnappliedEntry {
-                acked,
-                apply_done,
-                ops: ops.len() as u64,
-                rows,
+            // The append also crosses the inter-shard link and is
+            // re-appended on the standby — entirely off the ack path,
+            // so the client-visible times above are untouched (the
+            // standby-off pin). What the ship time buys is the
+            // replication-lag bound: a crash before it must replay this
+            // batch onto the promoted standby.
+            let shipped = ship_to_standby.then(|| {
+                acked + cfg.cross_shard_rtt / 2 + cfg.db.standby_append_cost(total_writes)
             });
-            if ship_to_standby {
-                // The append crosses the inter-shard link and is
-                // re-appended on the standby — entirely off the ack
-                // path, so the client-visible times above are untouched
-                // (the standby-off pin). What the entry buys is the
-                // replication-lag bound: a crash before `ship_done`
-                // must replay this batch onto the promoted standby.
-                let ship_done =
-                    acked + cfg.cross_shard_rtt / 2 + cfg.db.standby_append_cost(total_writes);
-                s.ship_tail.push(ShipEntry {
-                    acked,
-                    ship_done,
-                    ops: ops.len() as u64,
-                    rows,
-                });
-            }
+            s.journal.push(JournalEntry {
+                acked,
+                applied: Some(apply_done),
+                shipped,
+                ops: ops.len() as u64,
+                rows: applied.iter().sum(),
+            });
             return acked + rtt / 2;
         }
         let writes: Vec<u64> = ops.iter().map(|o| o.db.writes).filter(|&w| w > 0).collect();
@@ -1075,43 +1111,25 @@ impl MdsCluster {
             at + crash.restart_after
         };
         let s = &mut self.shards[shard.0];
-        let (mut replay_ops, mut replay_rows): (u64, Vec<u64>) = (0, Vec::new());
-        let mut acked_at_crash = 0u64;
-        let mut covered_ops = 0u64;
-        if promote {
-            // The promotion replay set: journal appends acked by the
-            // crash but still in flight to the standby (`ship_done`
-            // after `at`), re-read from the dead primary's durable
-            // journal tail. Fully shipped batches were applied by the
-            // warm standby as they arrived and cost nothing here.
-            for e in s.ship_tail.iter() {
-                if e.acked > at {
-                    continue;
+        // The replay set: batches acked by the crash that the recovering
+        // side lacks — unapplied ones on a cold restart, ones still in
+        // flight to the standby on a promotion (re-read from the dead
+        // primary's durable journal). Later acks keep their schedule
+        // (see the module docs).
+        let (mut acked_at_crash, mut covered_ops, mut replay_ops) = (0u64, 0u64, 0u64);
+        let mut replay_rows = Vec::new();
+        for e in s.journal.iter().filter(|e| e.acked <= at) {
+            let Some(done) = (if promote { e.shipped } else { e.applied }) else {
+                continue;
+            };
+            acked_at_crash += e.ops;
+            if done > at {
+                replay_ops += e.ops;
+                if e.rows > 0 {
+                    replay_rows.push(e.rows);
                 }
-                acked_at_crash += e.ops;
-                if e.ship_done > at {
-                    replay_ops += e.ops;
-                    if e.rows > 0 {
-                        replay_rows.push(e.rows);
-                    }
-                } else {
-                    covered_ops += e.ops;
-                }
-            }
-        } else {
-            // The replay set: journal-acked by the crash instant but
-            // not yet applied. Entries the simulator priced ahead of
-            // the crash (acked after `at`) keep their original schedule
-            // — a virtual-time approximation documented in the module
-            // docs.
-            for e in s.unapplied.iter() {
-                if e.acked <= at && e.apply_done > at {
-                    acked_at_crash += e.ops;
-                    replay_ops += e.ops;
-                    if e.rows > 0 {
-                        replay_rows.push(e.rows);
-                    }
-                }
+            } else {
+                covered_ops += e.ops;
             }
         }
         // Recovery is real work: boot (or leader handoff), scan the
@@ -1124,31 +1142,29 @@ impl MdsCluster {
         let resume_at = s.cpu.acquire(restart_at, service).end;
         s.recovery_busy += service;
         s.replayed_ops += replay_ops;
+        // Canary for the bench gate: every batch acked by the crash is
+        // either held by the recovering side or replayed, so the count
+        // stays structural.
+        s.lost_acked_ops += acked_at_crash - covered_ops - replay_ops;
         if promote {
             s.promotions += 1;
             s.lag_replayed_rows += replay_rows.iter().sum::<u64>();
-            // Every batch acked by the crash is either on the standby
-            // (fully shipped, applied there) or replayed from the
-            // durable journal tail — the canary stays structural.
-            s.lost_acked_ops += acked_at_crash - covered_ops - replay_ops;
-            // Batches acked by this crash are settled: shipped ones
-            // live on the new primary, the lag suffix was just
-            // replayed, and the next standby bootstraps from the full
-            // journal. Later crashes only ever consult newer acks.
-            s.ship_tail.retain(|e| e.acked > at);
-        } else {
-            // Canary for the bench gate: the replay set is exactly the
-            // acked-but-unapplied window, so nothing journal-acked is
-            // lost.
-            s.lost_acked_ops += acked_at_crash - replay_ops;
         }
         let mut max_lag = s.apply_lag;
-        for e in s.unapplied.iter_mut() {
-            if e.acked <= at && e.apply_done > at {
-                e.apply_done = resume_at;
+        for e in s.journal.iter_mut().filter(|e| e.acked <= at) {
+            if e.applied.is_some_and(|done| done > at) {
+                e.applied = Some(resume_at);
                 max_lag = max_lag.max(resume_at - e.acked);
             }
+            if promote {
+                // Settled: shipped batches live on the new primary, the
+                // lag suffix was just replayed, and the next standby
+                // bootstraps from the full journal. Later crashes only
+                // ever consult newer acks.
+                e.shipped = None;
+            }
         }
+        s.drop_settled();
         s.apply_lag = max_lag;
         s.downtime += resume_at - at;
         s.windows.push(FaultWindow {
@@ -1521,59 +1537,32 @@ impl MdsCluster {
     pub fn apply_horizon(&self, horizon: SimTime) -> SimTime {
         self.shards
             .iter()
-            .flat_map(|s| s.unapplied.iter().map(|e| e.apply_done))
+            .flat_map(|s| s.apply_view().map(|(_, done)| done))
             .fold(horizon, SimTime::max)
     }
 
     /// Acked-but-unapplied operations outstanding across all shards at
     /// virtual time `t` — the quantity
-    /// [`WriteBehindConfig::max_unapplied_ops`] bounds (journal entries
-    /// are pruned lazily, so this filters by apply completion rather
-    /// than trusting the raw lists). Zero with write-behind off.
+    /// [`WriteBehindConfig::max_unapplied_ops`] bounds (the apply view
+    /// is pruned lazily, so this filters by apply completion rather
+    /// than trusting the raw view). Zero with write-behind off.
     pub fn unapplied_ops_at(&self, t: SimTime) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| &s.unapplied)
-            .filter(|e| e.apply_done > t)
-            .map(|e| e.ops)
+            .flat_map(|s| s.apply_view())
+            .filter(|&(_, done)| done > t)
+            .map(|(e, _)| e.ops)
             .sum()
     }
 
-    /// Rewinds every shard's queue and cost state to virtual time zero
+    /// Rewinds every shard to its freshly built state — queue, cost
+    /// state, journal, epoch and counters — at virtual time zero
     /// (between benchmark phases). Sessions survive, as in the
     /// single-MDS model: establishment is paid once per node per shard.
     /// Outstanding leases survive too (they are client state, like
     /// sessions); only the traffic counters rewind.
     pub fn reset_time(&mut self) {
-        for s in &mut self.shards {
-            s.cpu.reset();
-            s.tracker.reset();
-            s.rpcs = 0;
-            s.two_phase = 0;
-            s.recalls = 0;
-            s.batches = 0;
-            s.rows_coalesced = 0;
-            s.apply_lag = SimDuration::ZERO;
-            s.unapplied.clear();
-            s.splits = 0;
-            s.merges = 0;
-            s.migrations = 0;
-            s.epoch = 1;
-            s.windows.clear();
-            s.crashes = 0;
-            s.nacks = 0;
-            s.drops_hit = 0;
-            s.replayed_ops = 0;
-            s.lost_acked_ops = 0;
-            s.downtime = SimDuration::ZERO;
-            s.recovery_busy = SimDuration::ZERO;
-            s.ship_tail.clear();
-            s.promotions = 0;
-            s.lag_replayed_rows = 0;
-            s.partition_nacks = 0;
-            s.admission_defers = 0;
-            s.admission = None;
-        }
+        self.shards = (0..self.shards.len()).map(Shard::new).collect();
         self.last_sweep = SimTime::ZERO;
         self.lease_sweeps = 0;
         self.leases_swept = 0;
@@ -2629,6 +2618,45 @@ mod tests {
             f.downtime,
             c.standby.promotion_cost + c.mds_service + c.db.lookup
         );
+    }
+
+    #[test]
+    fn promotion_replays_a_batch_applied_on_the_primary_but_still_shipping() {
+        // A slow standby link: batch A is applied on the primary long
+        // before its journal append lands on the standby. Batch B
+        // arrives after A's apply, so B's durability clamp finds A
+        // applied; the crash then lands between A's apply and A's ship.
+        // The standby never saw A, so promotion must replay it.
+        let c = CofsConfig {
+            cross_shard_rtt: SimDuration::from_millis(20),
+            ..wb_cfg().with_standby()
+        };
+        let n = net();
+        let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
+        let mut probe = MdsCluster::new(Box::new(SingleShard));
+        probe.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let a_applied = probe.apply_horizon(SimTime::ZERO);
+        // A's ship lag is 10 ms plus the standby append.
+        let crash_at = a_applied + SimDuration::from_millis(1);
+        let plan = FaultPlan::default().crash(ShardId(0), crash_at, SimDuration::from_millis(10));
+        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        cluster.arm_faults(plan);
+        cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let b_ack = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, crash_at);
+        assert!(b_ack > crash_at, "B is priced ahead of the crash");
+        assert_eq!(
+            cluster.unapplied_ops_at(a_applied),
+            8,
+            "only B is unapplied"
+        );
+        assert!(cluster
+            .shard_available(&c, &n, NodeId(0), ShardId(0), crash_at)
+            .is_err());
+        let f = cluster.fault_stats();
+        assert_eq!(f.promotions, 1);
+        assert_eq!(f.replayed_ops, 8, "A was in flight to the standby");
+        assert_eq!(f.lag_replayed_rows, 17, "A's coalesced write set replays");
+        assert_eq!(f.lost_acked_ops, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! same storm prices to the same virtual nanosecond every time.
 
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
-use cofs::fault::{FaultPlan, RetryConfig};
+use cofs::fault::{FaultPlan, FaultSummary, RetryConfig};
 use cofs::fs::CofsFs;
 use cofs::mds_cluster::ShardId;
 use netsim::ids::NodeId;
@@ -146,6 +146,143 @@ fn acked_but_unapplied_rows_replay_after_crash() {
     );
     assert_eq!(f.lost_acked_ops, 0, "journal-acked work is never lost");
     assert!(f.recovery_ms > 0.0, "replay is priced, not free");
+}
+
+/// The one-shard write-behind stack of the golden replay pins, with
+/// standby promotion on or off. The standby sits behind a slow link
+/// (4 ms round trip), so a journal append is still in flight to it
+/// well after the primary has applied the batch.
+fn golden_cfg(standby: bool) -> CofsConfig {
+    let c = CofsConfig::default()
+        .with_shards(1, ShardPolicyKind::Single)
+        .with_batching(4, SimDuration::from_millis(5), 4)
+        .with_write_behind();
+    if standby {
+        CofsConfig {
+            cross_shard_rtt: SimDuration::from_millis(4),
+            ..c.with_standby()
+        }
+    } else {
+        c
+    }
+}
+
+/// Creates `/d/f{i}` for every `i` in `files`, one every `gap` from
+/// `start`, then drains the batch pipeline and returns the last batch
+/// completion.
+fn create_train(
+    fs: &mut CofsFs<MemFs>,
+    files: std::ops::Range<u64>,
+    start: SimTime,
+    gap: SimDuration,
+) -> SimTime {
+    let ctx = OpCtx::test(NodeId(0));
+    for (k, i) in files.enumerate() {
+        let c = ctx.at(start + gap * k as u64);
+        let fh = fs
+            .create(&c, &vpath(&format!("/d/f{i}")), Mode::file_default())
+            .expect("the default retry budget rides out the crash")
+            .value;
+        fs.close(&c, fh).expect("close");
+    }
+    fs.drain_batches().expect("batches were buffered")
+}
+
+/// The golden replay run. The first train issues its creates all at
+/// once, so batches queue and the last one's apply trails its ack. A
+/// fault-free probe measures that ack-to-apply window; the real run
+/// scripts `plan(crash_at)` with `crash_at` in the middle of it, then
+/// issues a second train from the crash instant on, which rides the
+/// outage on retries. Returns the fault summary, the makespan (last
+/// batch completion) and, after a late look at every file, the latest
+/// apply completion the journal still tracks.
+fn golden_run(
+    standby: bool,
+    plan: impl Fn(SimTime) -> FaultPlan,
+) -> (FaultSummary, SimTime, SimTime) {
+    let first_train = |fs: &mut CofsFs<MemFs>| {
+        let ctx = OpCtx::test(NodeId(0));
+        fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default())
+            .expect("mkdir precedes the crash");
+        create_train(fs, 0..7, SimTime::ZERO, SimDuration::ZERO)
+    };
+    let mut probe = stack(golden_cfg(standby));
+    let ack_tail = first_train(&mut probe);
+    let horizon = probe.apply_horizon(ack_tail);
+    assert!(horizon > ack_tail, "apply must trail the last ack");
+    let crash_at = ack_tail + (horizon - ack_tail) / 2;
+
+    let mut fs = stack(golden_cfg(standby).with_fault_plan(plan(crash_at)));
+    assert_eq!(
+        first_train(&mut fs),
+        ack_tail,
+        "the crash fires after the probed batch"
+    );
+    let makespan = create_train(&mut fs, 7..16, crash_at, SimDuration::from_micros(400));
+    let late = OpCtx::test(NodeId(0)).at(SimTime::from_millis(200));
+    for i in 0..16 {
+        fs.stat(&late, &vpath(&format!("/d/f{i}")))
+            .expect("acked create must survive the crash");
+    }
+    let f = fs.fault_summary().expect("armed plan");
+    (f, makespan, fs.apply_horizon(SimTime::ZERO))
+}
+
+#[test]
+fn golden_cold_crash_replay_is_pinned() {
+    // Cold restart: the replay set is every batch acked by the crash
+    // and not yet applied. These figures are pinned to the
+    // nanosecond; a change to the write-behind journal must leave them
+    // untouched.
+    let (f, makespan, horizon) = golden_run(false, |at| {
+        FaultPlan::default().crash(ShardId(0), at, SimDuration::from_millis(2))
+    });
+    assert_eq!(f.crashes, 1);
+    assert_eq!(f.promotions, 0);
+    assert!(
+        f.replayed_ops > 0,
+        "the crash must land in an apply lag: {f:?}"
+    );
+    assert_eq!(f.lost_acked_ops, 0);
+    assert_eq!(
+        (f.replayed_ops, f.lag_replayed, f.gap_ms, f.recovery_ms),
+        (4, 0, 2.192, 0.192)
+    );
+    assert_eq!(
+        (makespan, horizon),
+        (SimTime::from_micros(11_314), SimTime::from_micros(11_244))
+    );
+}
+
+#[test]
+fn golden_standby_crash_loop_replay_is_pinned() {
+    // Standby on, three flaps: each crash is a promotion, and the
+    // first one lands while the probed batch is still in flight to the
+    // standby, so the promotion replays it from the durable journal.
+    let (f, makespan, horizon) = golden_run(true, |at| {
+        FaultPlan::default().crash_loop(
+            ShardId(0),
+            at,
+            SimDuration::from_millis(3),
+            SimDuration::from_millis(10),
+            3,
+        )
+    });
+    assert_eq!(f.crashes, 3);
+    assert_eq!(f.promotions, 3);
+    assert!(
+        f.replayed_ops > 0,
+        "the first flap must land in a ship lag: {f:?}"
+    );
+    assert_eq!(f.lost_acked_ops, 0);
+    assert_eq!(
+        (f.replayed_ops, f.lag_replayed, f.gap_ms, f.recovery_ms),
+        (8, 20, 2.38, 0.435)
+    );
+    assert_eq!(
+        (makespan, horizon),
+        (SimTime::from_micros(14_134), SimTime::from_micros(14_064))
+    );
 }
 
 /// The write-behind storm stack of the cascade sweep (shape of
