@@ -108,6 +108,120 @@ fn bench_mds_readdir(c: &mut Criterion) {
     }
 }
 
+/// `MemFs` mkdir + create + close under a directory of `siblings`
+/// entries: the shape of the placement layout's `/.cofs/n<node>` level
+/// in a wide storm, where every new hash directory and file resolves
+/// through that wide parent. Each sample makes 256 fresh directories
+/// (paths rendered outside the timing).
+fn bench_memfs(c: &mut Criterion) {
+    use netsim::ids::NodeId;
+    use vfs::fs::{FileSystem, OpCtx};
+    use vfs::memfs::MemFs;
+    use vfs::path::{vpath, VPath};
+    use vfs::types::Mode;
+
+    let ctx = OpCtx::test(NodeId(0));
+    for siblings in [16, 2048] {
+        let mut fs = MemFs::new();
+        let top = vpath("/.cofs");
+        fs.mkdir(&ctx, &top, Mode::dir_default()).unwrap();
+        for n in 0..siblings {
+            fs.mkdir(&ctx, &top.join(&format!("n{n}")), Mode::dir_default())
+                .unwrap();
+        }
+        let mut round = 0;
+        c.bench_function(&format!("memfs_mkdir_create_{siblings}"), |b| {
+            round += 1;
+            let paths: Vec<(VPath, VPath)> = (0..256)
+                .map(|i| {
+                    let dir = top
+                        .join(&format!("n{}", (i * 7) % siblings))
+                        .join(&format!("h{round}x{i}"));
+                    let file = dir.join("i1");
+                    (dir, file)
+                })
+                .collect();
+            b.iter(|| {
+                for (dir, file) in &paths {
+                    fs.mkdir(&ctx, dir, Mode::dir_default()).unwrap();
+                    let fh = fs.create(&ctx, file, Mode::file_default()).unwrap().value;
+                    fs.close(&ctx, fh).unwrap();
+                }
+            })
+        });
+    }
+}
+
+/// `Mds::getattr` on 3-deep paths (`/d<k>/e/f<i>`): the stat path's
+/// resolution through the inode store and the dentry table. Each
+/// sample stats every file once.
+fn bench_mds_stat(c: &mut Criterion) {
+    use cofs::mds::{Cred, Mds};
+    use simcore::time::SimTime;
+    use vfs::path::{vpath, VPath};
+    use vfs::types::{Gid, Mode, Uid};
+
+    let cred = Cred {
+        uid: Uid(1000),
+        gid: Gid(1000),
+    };
+    for files in [256, 4096] {
+        let mut mds = Mds::new();
+        let mut paths: Vec<VPath> = Vec::new();
+        for d in 0..16 {
+            let dir = vpath(&format!("/d{d}"));
+            mds.mkdir(cred, &dir, Mode::dir_default(), SimTime::ZERO)
+                .unwrap();
+            mds.mkdir(cred, &dir.join("e"), Mode::dir_default(), SimTime::ZERO)
+                .unwrap();
+        }
+        for i in 0..files {
+            let path = vpath(&format!("/d{}/e/f{i}", i % 16));
+            mds.create(
+                cred,
+                &path,
+                Mode::file_default(),
+                vpath(&format!("/.u/f{i}")),
+                SimTime::ZERO,
+            )
+            .unwrap();
+            paths.push(path);
+        }
+        c.bench_function(&format!("mds_stat_{files}"), |b| {
+            b.iter(|| {
+                paths
+                    .iter()
+                    .map(|p| mds.getattr(cred, p).unwrap().1.reads)
+                    .sum::<u64>()
+            })
+        });
+    }
+}
+
+/// `HashedPlacement::place` for a wide storm's mix of nodes, pids and
+/// parents, plus rendering each file's underlying path: the placement
+/// work of one create. Each sample places 4096 files.
+fn bench_placement(c: &mut Criterion) {
+    use cofs::placement::{HashedPlacement, PlacementPolicy};
+    use netsim::ids::{NodeId, Pid};
+    use vfs::path::vpath;
+
+    let parents: Vec<String> = (0..32).map(|d| format!("/storm/d{d}")).collect();
+    let mut p = HashedPlacement::new(vpath("/.cofs"), 512, 8, 7);
+    let mut seq = 0u64;
+    c.bench_function("placement_place", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            for i in 0..4096u32 {
+                let dir = p.place(NodeId(i % 2048), Pid(1), &parents[(i % 32) as usize], "f");
+                seq += 1;
+                bytes += dir.file_path(p.root(), seq).as_str().len();
+            }
+            bytes
+        })
+    });
+}
+
 /// The hot-stat storm in the metadata-service limit, with and without
 /// the client cache — measures the simulator's wall-clock cost of the
 /// cache bookkeeping itself (the *virtual*-time win is asserted by the
@@ -482,6 +596,6 @@ fn bench_table1(c: &mut Criterion) {
 criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_mds_readdir, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_driver
+    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_mds_readdir, bench_mds_stat, bench_memfs, bench_placement, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_driver
 }
 criterion_main!(paper);

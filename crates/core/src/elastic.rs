@@ -285,8 +285,8 @@ impl ElasticPolicy {
     /// hash policy.
     ///
     /// [`HashByParent`]: crate::mds_cluster::HashByParent
-    fn home(&self, dir: &VPath) -> ShardId {
-        ShardId((stable_hash(dir.as_str().as_bytes()) % self.shards as u64) as usize)
+    fn home(&self, dir: &str) -> ShardId {
+        crate::mds_cluster::hash_dir(dir, self.shards)
     }
 
     /// Current split depth of `dir` (0 = unsplit, single home shard).
@@ -312,7 +312,7 @@ impl ElasticPolicy {
             st.ops += 1;
             t >= st.window_start + self.cfg.window
         } else {
-            let home = self.home(dir);
+            let home = self.home(dir.as_str());
             self.bucket_counts[home.0] += 1;
             self.dirs.insert(
                 dir.clone(),
@@ -470,20 +470,20 @@ impl ShardPolicy for ElasticPolicy {
     }
 
     fn shard_of(&self, path: &VPath) -> ShardId {
-        let dir = path.parent().unwrap_or_else(VPath::root);
-        match (self.dirs.get(&dir), path.file_name()) {
+        let dir = path.parent_str();
+        match (self.dirs.get(dir), path.file_name()) {
             (Some(st), Some(name)) if st.depth > 0 => {
                 let mask = (1u64 << st.depth) - 1;
                 st.buckets[(bucket_hash(name) & mask) as usize]
             }
-            _ => self.home(&dir),
+            _ => self.home(dir),
         }
     }
 
     fn shard_of_entries(&self, dir: &VPath) -> ShardId {
         // The directory's own row (and the authoritative entry count)
         // stay on its home shard however far its dentries spread.
-        self.home(dir)
+        self.home(dir.as_str())
     }
 
     fn label(&self) -> &'static str {

@@ -14,7 +14,7 @@ use crate::config::{CofsConfig, MdsNetwork};
 use crate::fault::{FaultSummary, RetryStats};
 use crate::mds::{Cred, DbOps, Mds, ReadSet, WriteSet};
 use crate::mds_cluster::{MdsCluster, ShardPolicy, ShardUsage};
-use crate::placement::{HashedPlacement, PlacementPolicy};
+use crate::placement::{HashedPlacement, PlacementPolicy, UnderDir};
 use netsim::ids::NodeId;
 use simcore::prelude::*;
 use std::collections::{BTreeMap, HashSet};
@@ -74,7 +74,9 @@ pub struct CofsFs<U: FileSystem> {
     cache: ClientCache,
     batch: BatchPipeline,
     placement: Box<dyn PlacementPolicy>,
-    made_dirs: HashSet<VPath>,
+    /// Underlying directories known to exist, by the placement's
+    /// compact names (only checked for membership, never iterated).
+    made_dirs: HashSet<UnderDir>,
     // Ordered: rename re-roots open handles by iterating this map, and
     // the visit order must not depend on hasher state (lint rule D003).
     handles: BTreeMap<u64, CHandle>,
@@ -689,16 +691,18 @@ impl<U: FileSystem> CofsFs<U> {
     /// at `t`: the owning shards message each remote holder (in
     /// parallel, RTT-costed), the recalled entries leave the holders'
     /// caches, and the mutator's own copies are dropped for free.
+    /// `keys` is only called with the client cache on, so a cacheless
+    /// stack never builds the key list.
     fn recall(
         &mut self,
         node: NodeId,
-        keys: Vec<LeaseKey>,
+        keys: impl FnOnce() -> Vec<LeaseKey>,
         t: simcore::time::SimTime,
     ) -> simcore::time::SimTime {
         if !self.cache.enabled() {
             return t;
         }
-        let (done, dropped) = self.mds.recall_leases(&self.net, node, &keys, t);
+        let (done, dropped) = self.mds.recall_leases(&self.net, node, &keys(), t);
         let msgs = dropped.iter().filter(|(h, _)| *h != node).count() as u64;
         if msgs > 0 {
             self.counters.add("lease_recalls", msgs);
@@ -756,28 +760,30 @@ impl<U: FileSystem> CofsFs<U> {
 
     /// Ensures the underlying directory chain for `dir` exists,
     /// creating missing ancestors through the underlying filesystem.
+    /// A directory's path is rendered only here, when it is made.
     fn ensure_under_dir(
         &mut self,
         ctx: &OpCtx,
-        dir: &VPath,
+        dir: UnderDir,
         mut t: simcore::time::SimTime,
     ) -> Result<simcore::time::SimTime, FsError> {
-        if self.made_dirs.contains(dir) {
+        if self.made_dirs.contains(&dir) {
             return Ok(t);
         }
         // Build ancestors root-down.
+        let root = self.placement.root().clone();
         let mut chain = Vec::new();
-        let mut cur = Some(dir.clone());
+        let mut cur = Some(dir);
         while let Some(d) = cur {
             if d.is_root() || self.made_dirs.contains(&d) {
                 break;
             }
-            chain.push(d.clone());
-            cur = d.parent();
+            cur = d.parent(&root);
+            chain.push(d);
         }
         for d in chain.into_iter().rev() {
             let dctx = Self::daemon_ctx(ctx, t);
-            match self.under.mkdir(&dctx, &d, Mode::new(0o755)) {
+            match self.under.mkdir(&dctx, &d.path(&root), Mode::new(0o755)) {
                 Ok(done) => {
                     t = done.end;
                     self.counters.bump("under_dirs_made");
@@ -845,7 +851,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .mkdir(Self::cred(ctx), path, mode, ctx.now)?;
         let t = self.rpc_write(ctx.node, path, ops, t)?;
-        let t = self.recall(ctx.node, Self::creation_keys(path), t);
+        let t = self.recall(ctx.node, || Self::creation_keys(path), t);
         Ok(Timed::new((), t))
     }
 
@@ -858,11 +864,14 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .rmdir(Self::cred(ctx), path, ctx.now)?;
         let t = self.rpc_write(ctx.node, path, ops, t)?;
-        let mut keys = vec![
-            (EntryKind::Attr, path.clone()),
-            (EntryKind::Dentry, path.clone()),
-        ];
-        keys.extend(Self::parent_keys(path));
+        let keys = || {
+            let mut keys = vec![
+                (EntryKind::Attr, path.clone()),
+                (EntryKind::Dentry, path.clone()),
+            ];
+            keys.extend(Self::parent_keys(path));
+            keys
+        };
         let t = self.recall(ctx.node, keys, t);
         Ok(Timed::new((), t))
     }
@@ -872,17 +881,17 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let t = self.fuse(ctx);
         let t = self.fault_preflight(ctx.node, "create", path, t)?;
         // Placement decides where the bits will really live.
-        let parent = path.parent().unwrap_or_else(VPath::root);
         let name = path
             .file_name()
             .ok_or_else(|| FsError::new(Errno::EINVAL, "create", path.as_str()))?;
-        let dir = self.placement.place(ctx.node, ctx.pid, &parent, name);
-        let uname = format!("i{}", self.next_under_name);
+        let dir = self
+            .placement
+            .place(ctx.node, ctx.pid, path.parent_str(), name);
+        let mapping = dir.file_path(self.placement.root(), self.next_under_name);
         self.next_under_name += 1;
-        let mapping = dir.join(&uname);
         // Register in the metadata service (validates permissions and
         // uniqueness in the *virtual* namespace).
-        let (rec, ops) = self.mds.namespace_mut().create(
+        let (vino, ops) = self.mds.namespace_mut().create(
             Self::cred(ctx),
             path,
             mode,
@@ -893,14 +902,14 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // Other clients caching the parent's listing (or its attrs)
         // must give their leases back before the create is done, and
         // pollers holding a negative lease on the name learn it exists.
-        t = self.recall(ctx.node, Self::creation_keys(path), t);
+        t = self.recall(ctx.node, || Self::creation_keys(path), t);
         // Materialize the underlying file in its private directory.
-        t = self.ensure_under_dir(ctx, &dir, t)?;
+        t = self.ensure_under_dir(ctx, dir, t)?;
         let dctx = Self::daemon_ctx(ctx, t);
         let under = self.under.create(&dctx, &mapping, Mode::new(0o644))?;
         self.counters.bump("under_creates");
         let fh = self.alloc_fh(CHandle {
-            vino: rec.ino,
+            vino,
             vpath: path.clone(),
             under_fh: Some(under.value),
             mapping: Some(mapping),
@@ -915,8 +924,9 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         self.counters.bump("op_open");
         let t = self.fuse(ctx);
         let (rec, ops) = self.mds.namespace().lookup(Self::cred(ctx), path)?;
+        let (vino, ftype, mapping) = (rec.ino, rec.ftype, rec.mapping.clone());
         // Virtual permission checks (the service stores the truth).
-        if rec.ftype == FileType::Directory && (flags.write || flags.truncate) {
+        if ftype == FileType::Directory && (flags.write || flags.truncate) {
             return Err(FsError::new(Errno::EISDIR, "open", path.as_str()));
         }
         let a = rec.attr();
@@ -929,22 +939,21 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let mut t = self.cached_read(ctx, EntryKind::Attr, "open", path, ops, t)?;
         let mut under_fh = None;
         let mut lazy = false;
-        if rec.ftype == FileType::Regular {
+        if ftype == FileType::Regular {
             if flags.truncate {
                 // Truncation must reach the real bits immediately.
-                let mapping = rec
-                    .mapping
-                    .clone()
+                let mapping = mapping
+                    .as_ref()
                     .ok_or_else(|| FsError::new(Errno::EINVAL, "open", path.as_str()))?;
                 let dctx = Self::daemon_ctx(ctx, t);
-                let under = self.under.open(&dctx, &mapping, flags)?;
+                let under = self.under.open(&dctx, mapping, flags)?;
                 self.counters.bump("under_opens");
                 under_fh = Some(under.value);
                 t = under.end;
                 t = self.fault_preflight(ctx.node, "open", path, t)?;
-                let ops = self.mds.namespace_mut().set_size(rec.ino, 0, ctx.now);
+                let ops = self.mds.namespace_mut().set_size(vino, 0, ctx.now);
                 t = self.rpc_write(ctx.node, path, ops, t)?;
-                t = self.recall(ctx.node, vec![(EntryKind::Attr, path.clone())], t);
+                t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
             } else {
                 // The daemon defers the underlying open until the
                 // first read/write; an open/close cycle with no I/O
@@ -953,10 +962,10 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             }
         }
         let fh = self.alloc_fh(CHandle {
-            vino: rec.ino,
+            vino,
             vpath: path.clone(),
             under_fh,
-            mapping: rec.mapping.clone(),
+            mapping,
             flags,
             written: false,
             lazy,
@@ -978,8 +987,10 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // Writes never contact the service (paper §V: "there is no
         // need to contact the COFS metadata server if a file is
         // written or resized") — the release after a write reports the
-        // authoritative size instead.
-        if h.written {
+        // authoritative size instead. A file whose last name went away
+        // while it was open has no record left to update, and its
+        // underlying file is gone too: there is nothing to publish.
+        if h.written && self.mds.namespace().contains(h.vino) {
             if let Some(mapping) = &h.mapping {
                 let dctx = Self::daemon_ctx(ctx, t);
                 let size = self.under.stat(&dctx, mapping)?.value.size;
@@ -987,7 +998,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
                 t = self.fault_preflight(ctx.node, "close", &h.vpath, t)?;
                 let ops = self.mds.namespace_mut().set_size(h.vino, size, ctx.now);
                 t = self.rpc_write(ctx.node, &h.vpath, ops, t)?;
-                t = self.recall(ctx.node, vec![(EntryKind::Attr, h.vpath.clone())], t);
+                t = self.recall(ctx.node, || vec![(EntryKind::Attr, h.vpath.clone())], t);
             }
         }
         Ok(Timed::new((), t))
@@ -1045,8 +1056,9 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // repeats hit a lease-covered negative entry.
         match self.mds.namespace().getattr(Self::cred(ctx), path) {
             Ok((rec, ops)) => {
+                let attr = rec.attr();
                 let t = self.cached_read(ctx, EntryKind::Attr, "stat", path, ops, t)?;
-                Ok(Timed::new(rec.attr(), t))
+                Ok(Timed::new(attr, t))
             }
             Err(e) if e.is(Errno::ENOENT) => {
                 let t = self.negative_probe(ctx, path, t)?;
@@ -1065,7 +1077,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .setattr(Self::cred(ctx), path, set, ctx.now)?;
         let t = self.rpc_write(ctx.node, path, ops, t)?;
-        let t = self.recall(ctx.node, vec![(EntryKind::Attr, path.clone())], t);
+        let t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
         Ok(Timed::new(rec.attr(), t))
     }
 
@@ -1090,8 +1102,11 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .unlink(Self::cred(ctx), path, ctx.now)?;
         let mut t = self.rpc_write(ctx.node, path, ops, t)?;
-        let mut keys = vec![(EntryKind::Attr, path.clone())];
-        keys.extend(Self::parent_keys(path));
+        let keys = || {
+            let mut keys = vec![(EntryKind::Attr, path.clone())];
+            keys.extend(Self::parent_keys(path));
+            keys
+        };
         t = self.recall(ctx.node, keys, t);
         if let Some(mapping) = gone {
             // Last link went away: remove the real bits.
@@ -1113,7 +1128,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // remember its mapping for underlying cleanup.
         let doomed = match self.mds.namespace().getattr(Self::cred(ctx), to) {
             Ok((rec, _)) if rec.ftype == FileType::Regular && rec.nlink == 1 && from != to => {
-                rec.mapping
+                rec.mapping.clone()
             }
             _ => None,
         };
@@ -1141,7 +1156,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             keys.extend(self.mds.lease_keys_under(to));
             keys.extend(Self::parent_keys(from));
             keys.extend(Self::parent_keys(to));
-            t = self.recall(ctx.node, keys, t);
+            t = self.recall(ctx.node, || keys, t);
         }
         if let Some(mapping) = doomed {
             let dctx = Self::daemon_ctx(ctx, t);
@@ -1167,8 +1182,11 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let t = self.rpc_pair(ctx.node, existing, new, ops, t)?;
         // The linked inode's nlink changed, the new parent gained an
         // entry, and the new name stopped being absent.
-        let mut keys = vec![(EntryKind::Attr, existing.clone())];
-        keys.extend(Self::creation_keys(new));
+        let keys = || {
+            let mut keys = vec![(EntryKind::Attr, existing.clone())];
+            keys.extend(Self::creation_keys(new));
+            keys
+        };
         let t = self.recall(ctx.node, keys, t);
         Ok(Timed::new((), t))
     }
@@ -1182,7 +1200,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .symlink(Self::cred(ctx), target, new, ctx.now)?;
         let t = self.rpc_write(ctx.node, new, ops, t)?;
-        let t = self.recall(ctx.node, Self::creation_keys(new), t);
+        let t = self.recall(ctx.node, || Self::creation_keys(new), t);
         Ok(Timed::new((), t))
     }
 
@@ -1302,8 +1320,22 @@ mod tests {
             .namespace()
             .getattr(CofsFs::<MemFs>::cred(&b), &vpath("/d/y"))
             .unwrap();
-        let hx = rx.mapping.unwrap().parent().unwrap().parent().unwrap();
-        let hy = ry.mapping.unwrap().parent().unwrap().parent().unwrap();
+        let hx = rx
+            .mapping
+            .clone()
+            .unwrap()
+            .parent()
+            .unwrap()
+            .parent()
+            .unwrap();
+        let hy = ry
+            .mapping
+            .clone()
+            .unwrap()
+            .parent()
+            .unwrap()
+            .parent()
+            .unwrap();
         assert_ne!(hx, hy);
     }
 
@@ -1377,6 +1409,48 @@ mod tests {
         fs.rename(&ctx, &vpath("/a"), &vpath("/b")).unwrap();
         assert_eq!(fs.counters().get("under_unlinks"), 1);
         assert!(fs.stat(&ctx, &vpath("/a")).unwrap_err().is(Errno::ENOENT));
+    }
+
+    #[test]
+    fn io_through_a_handle_survives_unlink() {
+        let mut fs = new_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        let under_inodes = fs.under().inode_count();
+        fs.unlink(&ctx, &vpath("/f")).unwrap();
+        assert_eq!(fs.counters().get("under_unlinks"), 1);
+        // POSIX: the open file outlives its name until the last close.
+        assert_eq!(fs.write(&ctx, fh, 0, 100).unwrap().value, 100);
+        assert_eq!(fs.read(&ctx, fh, 0, 200).unwrap().value, 100);
+        assert_eq!(fs.under().inode_count(), under_inodes);
+        fs.close(&ctx, fh).unwrap();
+        assert_eq!(fs.under().inode_count(), under_inodes - 1);
+        assert_eq!(fs.under().open_handles(), 0);
+        assert!(fs.stat(&ctx, &vpath("/f")).unwrap_err().is(Errno::ENOENT));
+    }
+
+    #[test]
+    fn io_through_a_handle_survives_rename_over_it() {
+        let mut fs = new_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        let victim = fs
+            .create(&ctx, &vpath("/b"), Mode::file_default())
+            .unwrap()
+            .value;
+        let src = fs
+            .create(&ctx, &vpath("/a"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.close(&ctx, src).unwrap();
+        fs.rename(&ctx, &vpath("/a"), &vpath("/b")).unwrap();
+        assert_eq!(fs.write(&ctx, victim, 0, 10).unwrap().value, 10);
+        fs.close(&ctx, victim).unwrap();
+        // The write landed in the replaced file, not in the new /b.
+        assert_eq!(fs.stat(&ctx, &vpath("/b")).unwrap().value.size, 0);
+        assert_eq!(fs.under().open_handles(), 0);
     }
 
     #[test]

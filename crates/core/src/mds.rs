@@ -12,12 +12,22 @@
 //! the [`DbOps`] it performed (rows read, rows written) and the
 //! composite filesystem charges virtual time for them against the
 //! service's CPU queue and the network.
+//!
+//! The inode table is a [`DenseStore`] indexed by virtual inode number:
+//! the service hands numbers out in sequence and never reuses one, so
+//! once a path resolves to a number the row is reached by indexing,
+//! and a number a client still holds can never name a newer inode.
+//! Resolution walks the caller's path text in place and probes the
+//! dentry table with borrowed names, so a lookup allocates nothing.
 
 use metadb::table::{Record, Table};
+use simcore::dense::DenseStore;
 use simcore::rng::{stable_hash, stable_hash_combine};
 use simcore::time::SimTime;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use vfs::error::{Errno, FsError};
-use vfs::path::VPath;
+use vfs::path::{splice_link, walk, VPath};
 use vfs::types::{DirEntry, FileAttr, FileType, Gid, Ino, Mode, SetAttr, Uid, MAX_NAME_LEN};
 
 /// Maximum symlink indirections during resolution (matches `MemFs`).
@@ -56,13 +66,6 @@ pub struct InodeRec {
     pub target: Option<String>,
     /// Underlying filesystem path, for regular files.
     pub mapping: Option<VPath>,
-}
-
-impl Record for InodeRec {
-    type Key = u64;
-    fn key(&self) -> u64 {
-        self.ino
-    }
 }
 
 impl InodeRec {
@@ -109,6 +112,51 @@ impl Record for DentryRec {
     type Key = (u64, String);
     fn key(&self) -> (u64, String) {
         (self.parent, self.name.clone())
+    }
+}
+
+/// A dentry key seen as `(parent, name)` whether or not it owns the
+/// name: the table stores `(u64, String)` keys and is probed with
+/// `(u64, &str)` ones, ordered alike.
+trait DentryKey {
+    fn parts(&self) -> (u64, &str);
+}
+
+impl DentryKey for (u64, String) {
+    fn parts(&self) -> (u64, &str) {
+        (self.0, &self.1)
+    }
+}
+
+impl DentryKey for (u64, &str) {
+    fn parts(&self) -> (u64, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn DentryKey + 'a> for (u64, String) {
+    fn borrow(&self) -> &(dyn DentryKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn DentryKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn DentryKey + '_ {}
+
+impl PartialOrd for dyn DentryKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn DentryKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
     }
 }
 
@@ -382,44 +430,40 @@ pub struct Cred {
 
 const ROOT_INO: u64 = 1;
 
-/// The metadata service state: two tables and an inode allocator.
+/// The metadata service state: the inode store and the dentry table.
 ///
 /// Each directory-entry row carries its child's type (`d_type`), so
 /// [`Mds::readdir`] is one range scan over the directory's entry rows
 /// with no inode fetch per entry.
 #[derive(Debug)]
 pub struct Mds {
-    inodes: Table<InodeRec>,
+    inodes: DenseStore<InodeRec>,
     dentries: Table<DentryRec>,
-    next_ino: u64,
 }
 
 impl Mds {
     /// Creates a service with an empty (root-only) namespace. The root
     /// is world-writable like a scratch filesystem.
     pub fn new() -> Self {
-        let mut inodes = Table::new("inodes");
-        inodes
-            .insert(InodeRec {
-                ino: ROOT_INO,
-                ftype: FileType::Directory,
-                mode: Mode::new(0o777),
-                uid: Uid(0),
-                gid: Gid(0),
-                nlink: 2,
-                size: 0,
-                entries: 0,
-                atime: SimTime::ZERO,
-                mtime: SimTime::ZERO,
-                ctime: SimTime::ZERO,
-                target: None,
-                mapping: None,
-            })
-            .expect("fresh table");
+        let mut inodes = DenseStore::new(ROOT_INO);
+        inodes.push(InodeRec {
+            ino: ROOT_INO,
+            ftype: FileType::Directory,
+            mode: Mode::new(0o777),
+            uid: Uid(0),
+            gid: Gid(0),
+            nlink: 2,
+            size: 0,
+            entries: 0,
+            atime: SimTime::ZERO,
+            mtime: SimTime::ZERO,
+            ctime: SimTime::ZERO,
+            target: None,
+            mapping: None,
+        });
         Mds {
             inodes,
             dentries: Table::new("dentries"),
-            next_ino: 2,
         }
     }
 
@@ -441,87 +485,75 @@ impl Mds {
     pub fn entry_count(&self, path: &VPath) -> u64 {
         let mut cur = ROOT_INO;
         for comp in path.components() {
-            match self.dentries.get(&(cur, comp.to_string())) {
+            match self.dentry(cur, comp) {
                 Some(d) => cur = d.ino,
                 None => return 0,
             }
         }
-        match self.inodes.get(&cur) {
+        match self.inodes.get(cur) {
             Some(rec) if rec.ftype == FileType::Directory => rec.entries,
             _ => 0,
         }
     }
 
     fn get(&self, ino: u64) -> &InodeRec {
-        self.inodes.get(&ino).expect("dangling virtual inode")
+        self.inodes.get(ino).expect("dangling virtual inode")
     }
 
-    fn alloc_ino(&mut self) -> u64 {
-        let ino = self.next_ino;
-        self.next_ino += 1;
-        ino
+    fn get_mut(&mut self, ino: u64) -> &mut InodeRec {
+        self.inodes.get_mut(ino).expect("dangling virtual inode")
+    }
+
+    /// True while virtual inode `ino` exists (it has a name).
+    pub fn contains(&self, ino: u64) -> bool {
+        self.inodes.get(ino).is_some()
+    }
+
+    /// The entry `name` of directory `parent`, probed without an owned
+    /// key.
+    fn dentry(&self, parent: u64, name: &str) -> Option<&DentryRec> {
+        self.dentries.get_by(&(parent, name) as &dyn DentryKey)
     }
 
     /// Resolves a path to an inode record, following intermediate
-    /// symlinks (and the final one when `follow_last`).
+    /// symlinks (and the final one when `follow_last`). `path` is the
+    /// text of a [`VPath`] (or of one of its ancestors) and names the
+    /// path in errors.
     fn resolve(
         &self,
         cred: Cred,
-        path: &VPath,
+        path: &str,
         op: &'static str,
         follow_last: bool,
         depth: u32,
         ops: &mut DbOps,
     ) -> Result<u64, FsError> {
         let mut cur = ROOT_INO;
-        let comps: Vec<&str> = path.components().collect();
-        for (i, comp) in comps.iter().enumerate() {
+        for step in walk(path) {
             let node = self.get(cur);
             ops.read(1);
             if node.ftype != FileType::Directory {
-                return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
+                return Err(FsError::new(Errno::ENOTDIR, op, path));
             }
             if !node
                 .mode
                 .allows_exec(cred.uid, cred.gid, node.uid, node.gid)
             {
-                return Err(FsError::new(Errno::EACCES, op, path.as_str()));
+                return Err(FsError::new(Errno::EACCES, op, path));
             }
             let dent = self
-                .dentries
-                .get(&(cur, comp.to_string()))
-                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path.as_str()))?;
+                .dentry(cur, step.name)
+                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path))?;
             ops.read(1);
             let next = dent.ino;
-            let is_last = i == comps.len() - 1;
             let child = self.get(next);
-            if child.ftype == FileType::Symlink && (!is_last || follow_last) {
+            if child.ftype == FileType::Symlink && (!step.last || follow_last) {
                 if depth >= MAX_SYMLINK_DEPTH {
-                    return Err(FsError::new(Errno::EINVAL, op, path.as_str()));
+                    return Err(FsError::new(Errno::EINVAL, op, path));
                 }
-                let target = child.target.clone().expect("symlink has target");
-                let base = if target.starts_with('/') {
-                    VPath::new(&target)?
-                } else {
-                    let mut prefix = VPath::root();
-                    for c in comps.iter().take(i) {
-                        prefix = prefix.join(c);
-                    }
-                    let mut p = prefix;
-                    for part in target.split('/').filter(|c| !c.is_empty()) {
-                        match part {
-                            "." => {}
-                            ".." => p = p.parent().unwrap_or_else(VPath::root),
-                            c => p = p.join(c),
-                        }
-                    }
-                    p
-                };
-                let mut full = base;
-                for c in comps.iter().skip(i + 1) {
-                    full = full.join(c);
-                }
-                return self.resolve(cred, &full, op, follow_last, depth + 1, ops);
+                let target = child.target.as_deref().expect("symlink has target");
+                let full = splice_link(path, step, target)?;
+                return self.resolve(cred, full.as_str(), op, follow_last, depth + 1, ops);
             }
             cur = next;
         }
@@ -529,24 +561,20 @@ impl Mds {
     }
 
     /// Resolves the parent of `path` and validates the final name.
-    fn resolve_parent(
+    fn resolve_parent<'p>(
         &self,
         cred: Cred,
-        path: &VPath,
+        path: &'p VPath,
         op: &'static str,
         ops: &mut DbOps,
-    ) -> Result<(u64, String), FsError> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?;
+    ) -> Result<(u64, &'p str), FsError> {
         let name = path
             .file_name()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?
-            .to_string();
+            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?;
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::new(Errno::ENAMETOOLONG, op, path.as_str()));
         }
-        let pino = self.resolve(cred, &parent, op, true, 0, ops)?;
+        let pino = self.resolve(cred, path.parent_str(), op, true, 0, ops)?;
         if self.get(pino).ftype != FileType::Directory {
             return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
         }
@@ -570,13 +598,10 @@ impl Mds {
     }
 
     fn touch_parent(&mut self, pino: u64, now: SimTime, entry_delta: i64, ops: &mut DbOps) {
-        self.inodes
-            .update(&pino, |r| {
-                r.mtime = now;
-                r.ctime = now;
-                r.entries = (r.entries as i64 + entry_delta).max(0) as u64;
-            })
-            .expect("parent exists");
+        let r = self.get_mut(pino);
+        r.mtime = now;
+        r.ctime = now;
+        r.entries = (r.entries as i64 + entry_delta).max(0) as u64;
         ops.write(1);
     }
 
@@ -589,25 +614,21 @@ impl Mds {
         target: Option<String>,
         mapping: Option<VPath>,
     ) -> u64 {
-        let ino = self.alloc_ino();
-        self.inodes
-            .insert(InodeRec {
-                ino,
-                ftype,
-                mode,
-                uid: cred.uid,
-                gid: cred.gid,
-                nlink: if ftype == FileType::Directory { 2 } else { 1 },
-                size: 0,
-                entries: 0,
-                atime: now,
-                mtime: now,
-                ctime: now,
-                target,
-                mapping,
-            })
-            .expect("fresh inode number");
-        ino
+        self.inodes.push(InodeRec {
+            ino: self.inodes.next_index(),
+            ftype,
+            mode,
+            uid: cred.uid,
+            gid: cred.gid,
+            nlink: if ftype == FileType::Directory { 2 } else { 1 },
+            size: 0,
+            entries: 0,
+            atime: now,
+            mtime: now,
+            ctime: now,
+            target,
+            mapping,
+        })
     }
 
     // ---- public service calls --------------------------------------------
@@ -617,11 +638,11 @@ impl Mds {
     /// # Errors
     ///
     /// Lookup errors (`ENOENT`, `ENOTDIR`, `EACCES`).
-    pub fn getattr(&self, cred: Cred, path: &VPath) -> Result<(InodeRec, DbOps), FsError> {
+    pub fn getattr(&self, cred: Cred, path: &VPath) -> Result<(&InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "stat", false, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "stat", false, 0, &mut ops)?;
         ops.read(1);
-        Ok((self.get(ino).clone(), ops))
+        Ok((self.get(ino), ops))
     }
 
     /// Looks up a regular file (following symlinks) and returns its
@@ -631,15 +652,15 @@ impl Mds {
     ///
     /// Lookup errors; `EISDIR` guarding is left to the caller, which
     /// knows the open flags.
-    pub fn lookup(&self, cred: Cred, path: &VPath) -> Result<(InodeRec, DbOps), FsError> {
+    pub fn lookup(&self, cred: Cred, path: &VPath) -> Result<(&InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "open", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "open", true, 0, &mut ops)?;
         ops.read(1);
-        Ok((self.get(ino).clone(), ops))
+        Ok((self.get(ino), ops))
     }
 
     /// Creates a regular file mapped to `mapping` in the underlying
-    /// filesystem.
+    /// filesystem and returns its virtual inode number.
     ///
     /// # Errors
     ///
@@ -651,11 +672,11 @@ impl Mds {
         mode: Mode,
         mapping: VPath,
         now: SimTime,
-    ) -> Result<(InodeRec, DbOps), FsError> {
+    ) -> Result<(u64, DbOps), FsError> {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "create", &mut ops)?;
         self.check_parent_write(cred, pino, "create", path)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
         }
         ops.read(1);
@@ -663,14 +684,14 @@ impl Mds {
         self.dentries
             .insert(DentryRec {
                 parent: pino,
-                name,
+                name: name.to_string(),
                 ino,
                 ftype: FileType::Regular,
             })
             .expect("checked for duplicates");
         ops.write(2);
         self.touch_parent(pino, now, 1, &mut ops);
-        Ok((self.get(ino).clone(), ops))
+        Ok((ino, ops))
     }
 
     /// Creates a virtual directory (no underlying presence at all —
@@ -689,7 +710,7 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "mkdir", &mut ops)?;
         self.check_parent_write(cred, pino, "mkdir", path)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "mkdir", path.as_str()));
         }
         ops.read(1);
@@ -697,15 +718,13 @@ impl Mds {
         self.dentries
             .insert(DentryRec {
                 parent: pino,
-                name,
+                name: name.to_string(),
                 ino,
                 ftype: FileType::Directory,
             })
             .expect("checked for duplicates");
         ops.write(2);
-        self.inodes
-            .update(&pino, |r| r.nlink += 1)
-            .expect("parent exists");
+        self.get_mut(pino).nlink += 1;
         ops.write(1);
         self.touch_parent(pino, now, 1, &mut ops);
         Ok(ops)
@@ -724,8 +743,7 @@ impl Mds {
         let (pino, name) = self.resolve_parent(cred, path, "rmdir", &mut ops)?;
         self.check_parent_write(cred, pino, "rmdir", path)?;
         let dent = self
-            .dentries
-            .get(&(pino, name.clone()))
+            .dentry(pino, name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?
             .clone();
         ops.read(1);
@@ -736,11 +754,11 @@ impl Mds {
         if node.entries > 0 {
             return Err(FsError::new(Errno::ENOTEMPTY, "rmdir", path.as_str()));
         }
-        self.dentries.delete(&(pino, name)).expect("entry existed");
-        self.inodes.delete(&dent.ino).expect("inode existed");
-        self.inodes
-            .update(&pino, |r| r.nlink -= 1)
-            .expect("parent exists");
+        self.dentries
+            .delete(&(pino, name.to_string()))
+            .expect("entry existed");
+        self.inodes.remove(dent.ino).expect("inode existed");
+        self.get_mut(pino).nlink -= 1;
         ops.write(3);
         self.touch_parent(pino, now, -1, &mut ops);
         Ok(ops)
@@ -762,28 +780,26 @@ impl Mds {
         let (pino, name) = self.resolve_parent(cred, path, "unlink", &mut ops)?;
         self.check_parent_write(cred, pino, "unlink", path)?;
         let dent = self
-            .dentries
-            .get(&(pino, name.clone()))
+            .dentry(pino, name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?
             .clone();
         ops.read(1);
         if self.get(dent.ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EISDIR, "unlink", path.as_str()));
         }
-        self.dentries.delete(&(pino, name)).expect("entry existed");
+        self.dentries
+            .delete(&(pino, name.to_string()))
+            .expect("entry existed");
         ops.write(1);
-        self.inodes
-            .update(&dent.ino, |r| {
-                r.nlink -= 1;
-                r.ctime = now;
-            })
-            .expect("inode exists");
+        let r = self.get_mut(dent.ino);
+        r.nlink -= 1;
+        r.ctime = now;
         ops.write(1);
         let gone = {
             let rec = self.get(dent.ino);
             if rec.nlink == 0 {
                 let mapping = rec.mapping.clone();
-                self.inodes.delete(&dent.ino).expect("inode exists");
+                self.inodes.remove(dent.ino).expect("inode exists");
                 ops.write(1);
                 mapping
             } else {
@@ -808,7 +824,7 @@ impl Mds {
         now: SimTime,
     ) -> Result<(InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "setattr", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "setattr", true, 0, &mut ops)?;
         let node = self.get(ino);
         ops.read(1);
         let is_owner = cred.uid == Uid(0) || cred.uid == node.uid;
@@ -834,30 +850,27 @@ impl Mds {
         if set.size.is_some() && node.ftype != FileType::Regular {
             return Err(FsError::new(Errno::EISDIR, "setattr", path.as_str()));
         }
-        self.inodes
-            .update(&ino, |r| {
-                if let Some(m) = set.mode {
-                    r.mode = m;
-                }
-                if let Some(u) = set.uid {
-                    r.uid = u;
-                }
-                if let Some(g) = set.gid {
-                    r.gid = g;
-                }
-                if let Some(s) = set.size {
-                    r.size = s;
-                    r.mtime = now;
-                }
-                if let Some(t) = set.atime {
-                    r.atime = t;
-                }
-                if let Some(t) = set.mtime {
-                    r.mtime = t;
-                }
-                r.ctime = now;
-            })
-            .expect("inode exists");
+        let r = self.get_mut(ino);
+        if let Some(m) = set.mode {
+            r.mode = m;
+        }
+        if let Some(u) = set.uid {
+            r.uid = u;
+        }
+        if let Some(g) = set.gid {
+            r.gid = g;
+        }
+        if let Some(s) = set.size {
+            r.size = s;
+            r.mtime = now;
+        }
+        if let Some(t) = set.atime {
+            r.atime = t;
+        }
+        if let Some(t) = set.mtime {
+            r.mtime = t;
+        }
+        r.ctime = now;
         ops.write(1);
         Ok((self.get(ino).clone(), ops))
     }
@@ -866,14 +879,9 @@ impl Mds {
     /// since writes never contact the service).
     pub fn set_size(&mut self, ino: u64, size: u64, now: SimTime) -> DbOps {
         let mut ops = DbOps::default();
-        if self
-            .inodes
-            .update(&ino, |r| {
-                r.size = size;
-                r.mtime = now;
-            })
-            .is_ok()
-        {
+        if let Some(r) = self.inodes.get_mut(ino) {
+            r.size = size;
+            r.mtime = now;
             ops.write(1);
         }
         ops
@@ -895,7 +903,7 @@ impl Mds {
         path: &VPath,
     ) -> Result<(Vec<DirEntry>, u64, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "readdir", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "readdir", true, 0, &mut ops)?;
         let node = self.get(ino);
         ops.read(1);
         if node.ftype != FileType::Directory {
@@ -927,9 +935,7 @@ impl Mds {
     /// Sets the access time of the directory a [`Mds::readdir`]
     /// listed; its write is already counted in that call's [`DbOps`].
     pub fn touch_atime(&mut self, ino: u64, now: SimTime) {
-        self.inodes
-            .update(&ino, |r| r.atime = now)
-            .expect("inode exists");
+        self.get_mut(ino).atime = now;
     }
 
     /// Creates a hard link — pure metadata in COFS, regardless of
@@ -946,31 +952,28 @@ impl Mds {
         now: SimTime,
     ) -> Result<DbOps, FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, existing, "link", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, existing.as_str(), "link", true, 0, &mut ops)?;
         let ftype = self.get(ino).ftype;
         if ftype == FileType::Directory {
             return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
         }
         let (pino, name) = self.resolve_parent(cred, new, "link", &mut ops)?;
         self.check_parent_write(cred, pino, "link", new)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "link", new.as_str()));
         }
         ops.read(1);
         self.dentries
             .insert(DentryRec {
                 parent: pino,
-                name,
+                name: name.to_string(),
                 ino,
                 ftype,
             })
             .expect("checked for duplicates");
-        self.inodes
-            .update(&ino, |r| {
-                r.nlink += 1;
-                r.ctime = now;
-            })
-            .expect("inode exists");
+        let r = self.get_mut(ino);
+        r.nlink += 1;
+        r.ctime = now;
         ops.write(2);
         self.touch_parent(pino, now, 1, &mut ops);
         Ok(ops)
@@ -991,7 +994,7 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, new, "symlink", &mut ops)?;
         self.check_parent_write(cred, pino, "symlink", new)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "symlink", new.as_str()));
         }
         ops.read(1);
@@ -1008,7 +1011,7 @@ impl Mds {
         self.dentries
             .insert(DentryRec {
                 parent: pino,
-                name,
+                name: name.to_string(),
                 ino,
                 ftype: FileType::Symlink,
             })
@@ -1025,7 +1028,7 @@ impl Mds {
     /// `EINVAL` if the object is not a symlink, plus lookup errors.
     pub fn readlink(&self, cred: Cred, path: &VPath) -> Result<(String, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "readlink", false, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "readlink", false, 0, &mut ops)?;
         ops.read(1);
         match &self.get(ino).target {
             Some(t) => Ok((t.clone(), ops)),
@@ -1050,7 +1053,7 @@ impl Mds {
         let mut ops = DbOps::default();
         if from == to {
             // POSIX: same-name rename succeeds only if the name exists.
-            self.resolve(cred, from, "rename", false, 0, &mut ops)?;
+            self.resolve(cred, from.as_str(), "rename", false, 0, &mut ops)?;
             return Ok(ops);
         }
         if to.starts_with(from) {
@@ -1061,13 +1064,12 @@ impl Mds {
         let (to_pino, to_name) = self.resolve_parent(cred, to, "rename", &mut ops)?;
         self.check_parent_write(cred, to_pino, "rename", to)?;
         let src = self
-            .dentries
-            .get(&(from_pino, from_name.clone()))
+            .dentry(from_pino, from_name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?
             .clone();
         ops.read(1);
         let src_is_dir = src.ftype == FileType::Directory;
-        if let Some(dst) = self.dentries.get(&(to_pino, to_name.clone())).cloned() {
+        if let Some(dst) = self.dentry(to_pino, to_name).cloned() {
             ops.read(1);
             let dst_rec = self.get(dst.ino).clone();
             match (src_is_dir, dst_rec.ftype == FileType::Directory) {
@@ -1078,30 +1080,25 @@ impl Mds {
                         return Err(FsError::new(Errno::ENOTEMPTY, "rename", to.as_str()));
                     }
                     self.dentries
-                        .delete(&(to_pino, to_name.clone()))
+                        .delete(&(to_pino, to_name.to_string()))
                         .expect("entry existed");
-                    self.inodes.delete(&dst.ino).expect("inode existed");
-                    self.inodes
-                        .update(&to_pino, |r| r.nlink -= 1)
-                        .expect("parent exists");
+                    self.inodes.remove(dst.ino).expect("inode existed");
+                    self.get_mut(to_pino).nlink -= 1;
                     self.touch_parent(to_pino, now, -1, &mut ops);
                     ops.write(3);
                 }
                 (false, false) => {
                     self.dentries
-                        .delete(&(to_pino, to_name.clone()))
+                        .delete(&(to_pino, to_name.to_string()))
                         .expect("entry existed");
-                    self.inodes
-                        .update(&dst.ino, |r| {
-                            r.nlink -= 1;
-                            r.ctime = now;
-                        })
-                        .expect("inode exists");
+                    let r = self.get_mut(dst.ino);
+                    r.nlink -= 1;
+                    r.ctime = now;
                     if self.get(dst.ino).nlink == 0 {
                         // Underlying cleanup is the caller's business;
                         // rename replacing a file returns no mapping in
                         // the current API, so the layer re-checks.
-                        self.inodes.delete(&dst.ino).expect("inode exists");
+                        self.inodes.remove(dst.ino).expect("inode exists");
                     }
                     self.touch_parent(to_pino, now, -1, &mut ops);
                     ops.write(2);
@@ -1109,31 +1106,25 @@ impl Mds {
             }
         }
         self.dentries
-            .delete(&(from_pino, from_name))
+            .delete(&(from_pino, from_name.to_string()))
             .expect("source entry existed");
         self.dentries
             .insert(DentryRec {
                 parent: to_pino,
-                name: to_name,
+                name: to_name.to_string(),
                 ino: src.ino,
                 ftype: src.ftype,
             })
             .expect("target slot cleared");
         ops.write(2);
         if src_is_dir && from_pino != to_pino {
-            self.inodes
-                .update(&from_pino, |r| r.nlink -= 1)
-                .expect("parent exists");
-            self.inodes
-                .update(&to_pino, |r| r.nlink += 1)
-                .expect("parent exists");
+            self.get_mut(from_pino).nlink -= 1;
+            self.get_mut(to_pino).nlink += 1;
             ops.write(2);
         }
         self.touch_parent(from_pino, now, -1, &mut ops);
         self.touch_parent(to_pino, now, 1, &mut ops);
-        self.inodes
-            .update(&src.ino, |r| r.ctime = now)
-            .expect("inode exists");
+        self.get_mut(src.ino).ctime = now;
         ops.write(1);
         Ok(ops)
     }
@@ -1164,7 +1155,7 @@ mod tests {
     #[test]
     fn create_and_getattr() {
         let mut mds = Mds::new();
-        let (rec, ops) = mds
+        let (ino, ops) = mds
             .create(
                 cred(),
                 &vpath("/f"),
@@ -1173,12 +1164,13 @@ mod tests {
                 t(1),
             )
             .unwrap();
-        assert_eq!(rec.ftype, FileType::Regular);
-        assert_eq!(rec.mapping, Some(vpath("/.u/f")));
         assert!(ops.writes >= 2);
         let (got, _) = mds.getattr(cred(), &vpath("/f")).unwrap();
-        assert_eq!(got.ino, rec.ino);
+        assert_eq!(got.ino, ino);
+        assert_eq!(got.ftype, FileType::Regular);
+        assert_eq!(got.mapping, Some(vpath("/.u/f")));
         assert_eq!(got.attr().nlink, 1);
+        assert!(mds.contains(ino));
     }
 
     #[test]
@@ -1450,7 +1442,7 @@ mod tests {
     #[test]
     fn set_size_updates_record() {
         let mut mds = Mds::new();
-        let (rec, _) = mds
+        let (ino, _) = mds
             .create(
                 cred(),
                 &vpath("/f"),
@@ -1459,7 +1451,7 @@ mod tests {
                 t(1),
             )
             .unwrap();
-        mds.set_size(rec.ino, 4096, t(2));
+        mds.set_size(ino, 4096, t(2));
         let (got, _) = mds.getattr(cred(), &vpath("/f")).unwrap();
         assert_eq!(got.attr().size, 4096);
         // Unknown inodes are ignored.

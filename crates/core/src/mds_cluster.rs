@@ -171,16 +171,23 @@ impl ShardPolicy for HashByParent {
     }
 
     fn shard_of(&self, path: &VPath) -> ShardId {
-        self.shard_of_entries(&path.parent().unwrap_or_else(VPath::root))
+        hash_dir(path.parent_str(), self.shards)
     }
 
     fn shard_of_entries(&self, dir: &VPath) -> ShardId {
-        ShardId((stable_hash(dir.as_str().as_bytes()) % self.shards as u64) as usize)
+        hash_dir(dir.as_str(), self.shards)
     }
 
     fn label(&self) -> &'static str {
         "hash-parent"
     }
+}
+
+/// The shard whose hash bucket the directory text `dir` falls in: the
+/// [`HashByParent`] formula, shared with the elastic policy's home
+/// shard.
+pub(crate) fn hash_dir(dir: &str, shards: usize) -> ShardId {
+    ShardId((stable_hash(dir.as_bytes()) % shards as u64) as usize)
 }
 
 /// Subtree (prefix) partitioning: the first path component assigns the

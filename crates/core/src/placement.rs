@@ -18,6 +18,97 @@ use simcore::rng::{stable_hash, stable_hash_combine, SimRng};
 use std::collections::HashMap;
 use vfs::path::VPath;
 
+/// A slot directory of [`HashedPlacement`]'s layout, by number:
+/// `<root>/n<node>/h<hash:016x>/d<slot>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SlotKey {
+    /// Index of the creating client node.
+    pub node: u32,
+    /// Hash of (node, virtual parent, pid).
+    pub hash: u64,
+    /// Slot number within the hash directory.
+    pub slot: u32,
+}
+
+/// A directory of the underlying layout, as a placement policy names
+/// it. The hashed layout's directories are named by number and
+/// rendered to a path only when one is needed, so the per-create
+/// bookkeeping (slot counts, which directories exist) holds a few
+/// integers per directory rather than its path text.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum UnderDir {
+    /// A directory named by its path: the layout root and its
+    /// ancestors, or any directory of a policy without a numbered
+    /// layout.
+    Path(VPath),
+    /// `<root>/n<node>`: the directory only `node` creates under.
+    Node(u32),
+    /// `<root>/n<node>/h<hash:016x>`.
+    Hash(u32, u64),
+    /// `<root>/n<node>/h<hash:016x>/d<slot>`.
+    Slot(SlotKey),
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+impl UnderDir {
+    /// True for the filesystem root, which always exists.
+    pub fn is_root(&self) -> bool {
+        matches!(self, UnderDir::Path(p) if p.is_root())
+    }
+
+    /// The containing directory, for a layout rooted at `root`; `None`
+    /// for the filesystem root.
+    pub fn parent(&self, root: &VPath) -> Option<UnderDir> {
+        match self {
+            UnderDir::Path(p) => p.parent().map(UnderDir::Path),
+            UnderDir::Node(_) => Some(UnderDir::Path(root.clone())),
+            UnderDir::Hash(node, _) => Some(UnderDir::Node(*node)),
+            UnderDir::Slot(k) => Some(UnderDir::Hash(k.node, k.hash)),
+        }
+    }
+
+    /// The directory's path in a layout rooted at `root`.
+    pub fn path(&self, root: &VPath) -> VPath {
+        self.render(root, 0)
+    }
+
+    /// The path of the underlying file `i<seq>` in this directory,
+    /// written into one exactly-sized buffer.
+    pub fn file_path(&self, root: &VPath, seq: u64) -> VPath {
+        let mut p = self.render(root, 2 + digits(seq));
+        p.push(format_args!("i{seq}"));
+        p
+    }
+
+    /// Renders the directory's path with room for `extra` more bytes.
+    fn render(&self, root: &VPath, extra: usize) -> VPath {
+        let (node, hash, slot) = match *self {
+            UnderDir::Path(ref p) => return p.with_room(extra),
+            UnderDir::Node(n) => (n, None, None),
+            UnderDir::Hash(n, h) => (n, Some(h), None),
+            UnderDir::Slot(k) => (k.node, Some(k.hash), Some(k.slot)),
+        };
+        let mut p = root.with_room(
+            2 + digits(node.into())
+                + hash.map_or(0, |_| 18)
+                + slot.map_or(0, |s| 2 + digits(s.into()))
+                + extra,
+        );
+        p.push(format_args!("n{node}"));
+        if let Some(h) = hash {
+            p.push(format_args!("h{h:016x}"));
+        }
+        if let Some(s) = slot {
+            p.push(format_args!("d{s}"));
+        }
+        p
+    }
+}
+
 /// Chooses the underlying directory for each newly created file.
 ///
 /// Implementations are deterministic state machines (any randomness
@@ -25,9 +116,14 @@ use vfs::path::VPath;
 /// reproducible.
 pub trait PlacementPolicy: std::fmt::Debug {
     /// Returns the underlying directory for a file named `name`
-    /// created by (`node`, `pid`) under virtual parent `vparent`. The
-    /// caller appends the (unique) underlying file name itself.
-    fn place(&mut self, node: NodeId, pid: Pid, vparent: &VPath, name: &str) -> VPath;
+    /// created by (`node`, `pid`) under the virtual parent directory
+    /// whose normalized path is `vparent`. The caller appends the
+    /// (unique) underlying file name itself.
+    fn place(&mut self, node: NodeId, pid: Pid, vparent: &str, name: &str) -> UnderDir;
+
+    /// The root of the layout: every directory [`Self::place`] returns
+    /// renders to a path under it ([`UnderDir::path`]).
+    fn root(&self) -> &VPath;
 
     /// A short label for reports and ablation tables.
     fn label(&self) -> &'static str;
@@ -52,10 +148,11 @@ pub trait PlacementPolicy: std::fmt::Debug {
 /// use vfs::path::vpath;
 ///
 /// let mut p = HashedPlacement::new(vpath("/.cofs"), 512, 8, 42);
-/// let a = p.place(NodeId(0), Pid(1), &vpath("/shared"), "x");
-/// let b = p.place(NodeId(1), Pid(1), &vpath("/shared"), "y");
+/// let a = p.place(NodeId(0), Pid(1), "/shared", "x");
+/// let b = p.place(NodeId(1), Pid(1), "/shared", "y");
 /// // Different nodes map to different underlying directories.
-/// assert_ne!(a.parent(), b.parent());
+/// assert_ne!(a.parent(p.root()), b.parent(p.root()));
+/// assert!(b.path(p.root()).starts_with(&vpath("/.cofs/n1")));
 /// ```
 #[derive(Debug)]
 pub struct HashedPlacement {
@@ -64,7 +161,7 @@ pub struct HashedPlacement {
     spread: u32,
     rng: SimRng,
     /// Entries currently placed in each underlying directory.
-    counts: HashMap<VPath, u32>,
+    counts: HashMap<SlotKey, u32>,
     /// Next fresh slot number per hash directory.
     next_slot: HashMap<u64, u32>,
     /// Active slot per (hash dir, spread lane).
@@ -91,13 +188,14 @@ impl HashedPlacement {
         }
     }
 
-    fn hash_of(node: NodeId, pid: Pid, vparent: &VPath) -> u64 {
-        let h = stable_hash(vparent.as_str().as_bytes());
+    fn hash_of(node: NodeId, pid: Pid, vparent: &str) -> u64 {
+        let h = stable_hash(vparent.as_bytes());
         stable_hash_combine(stable_hash_combine(h, node.index() as u64), pid.0 as u64)
     }
 
-    /// Entries placed so far in `dir` (for tests and invariants).
-    pub fn entries_in(&self, dir: &VPath) -> u32 {
+    /// Entries placed so far in slot directory `dir` (for tests and
+    /// invariants).
+    pub fn entries_in(&self, dir: &SlotKey) -> u32 {
         self.counts.get(dir).copied().unwrap_or(0)
     }
 
@@ -108,12 +206,8 @@ impl HashedPlacement {
 }
 
 impl PlacementPolicy for HashedPlacement {
-    fn place(&mut self, node: NodeId, pid: Pid, vparent: &VPath, _name: &str) -> VPath {
+    fn place(&mut self, node: NodeId, pid: Pid, vparent: &str, _name: &str) -> UnderDir {
         let h = Self::hash_of(node, pid, vparent);
-        let hdir = self
-            .root
-            .join(&format!("n{}", node.index()))
-            .join(&format!("h{h:016x}"));
         // Randomization level: pick a lane, use its active slot; retire
         // the slot when it reaches the limit.
         let lane = self.rng.below(self.spread as u64) as u32;
@@ -123,8 +217,12 @@ impl PlacementPolicy for HashedPlacement {
             *s += 1;
             v
         });
-        let dir = hdir.join(&format!("d{slot}"));
-        let count = self.counts.entry(dir.clone()).or_insert(0);
+        let key = SlotKey {
+            node: node.0,
+            hash: h,
+            slot,
+        };
+        let count = self.counts.entry(key).or_insert(0);
         *count += 1;
         if *count >= self.dir_limit {
             // Retire this slot: the lane gets a fresh directory next time.
@@ -133,7 +231,11 @@ impl PlacementPolicy for HashedPlacement {
             *s += 1;
             self.lanes.insert((h, lane), fresh);
         }
-        dir
+        UnderDir::Slot(key)
+    }
+
+    fn root(&self) -> &VPath {
+        &self.root
     }
 
     fn label(&self) -> &'static str {
@@ -158,14 +260,18 @@ impl PassthroughPlacement {
 }
 
 impl PlacementPolicy for PassthroughPlacement {
-    fn place(&mut self, _node: NodeId, _pid: Pid, vparent: &VPath, _name: &str) -> VPath {
+    fn place(&mut self, _node: NodeId, _pid: Pid, vparent: &str, _name: &str) -> UnderDir {
         // Mirror the virtual parent under the root: a single shared
         // underlying directory per virtual directory.
         let mut dir = self.root.clone();
-        for c in vparent.components() {
+        for c in vparent.split('/').filter(|c| !c.is_empty()) {
             dir = dir.join(c);
         }
-        dir
+        UnderDir::Path(dir)
+    }
+
+    fn root(&self) -> &VPath {
+        &self.root
     }
 
     fn label(&self) -> &'static str {
@@ -182,26 +288,33 @@ mod tests {
         HashedPlacement::new(vpath("/.cofs"), 512, 8, 7)
     }
 
+    fn slot(d: &UnderDir) -> SlotKey {
+        match d {
+            UnderDir::Slot(k) => *k,
+            other => panic!("hashed placement returned {other:?}"),
+        }
+    }
+
     #[test]
     fn same_inputs_same_hash_dir() {
         let mut p = policy();
-        let a = p.place(NodeId(0), Pid(1), &vpath("/v"), "a");
-        let b = p.place(NodeId(0), Pid(1), &vpath("/v"), "b");
+        let a = p.place(NodeId(0), Pid(1), "/v", "a");
+        let b = p.place(NodeId(0), Pid(1), "/v", "b");
         // Same hash dir (parent of the slot dir) even if lanes differ.
-        assert_eq!(a.parent().unwrap().parent(), b.parent().unwrap().parent());
-        assert!(a.starts_with(&vpath("/.cofs")));
+        assert_eq!(a.parent(p.root()), b.parent(p.root()));
+        assert!(a.path(p.root()).starts_with(&vpath("/.cofs")));
     }
 
     #[test]
     fn node_parent_pid_all_matter() {
         let mut p = policy();
-        let base = p.place(NodeId(0), Pid(1), &vpath("/v"), "f");
-        let other_node = p.place(NodeId(1), Pid(1), &vpath("/v"), "f");
-        let other_pid = p.place(NodeId(0), Pid(2), &vpath("/v"), "f");
-        let other_parent = p.place(NodeId(0), Pid(1), &vpath("/w"), "f");
-        let hash_dir = |p: &VPath| p.parent().unwrap().as_str().to_string();
-        assert!(base.starts_with(&vpath("/.cofs/n0")));
-        assert!(other_node.starts_with(&vpath("/.cofs/n1")));
+        let base = p.place(NodeId(0), Pid(1), "/v", "f");
+        let other_node = p.place(NodeId(1), Pid(1), "/v", "f");
+        let other_pid = p.place(NodeId(0), Pid(2), "/v", "f");
+        let other_parent = p.place(NodeId(0), Pid(1), "/w", "f");
+        let hash_dir = |d: &UnderDir| d.parent(p.root()).unwrap().path(p.root());
+        assert!(base.path(p.root()).starts_with(&vpath("/.cofs/n0")));
+        assert!(other_node.path(p.root()).starts_with(&vpath("/.cofs/n1")));
         assert_ne!(hash_dir(&base), hash_dir(&other_node));
         assert_ne!(hash_dir(&base), hash_dir(&other_pid));
         assert_ne!(hash_dir(&base), hash_dir(&other_parent));
@@ -210,13 +323,13 @@ mod tests {
     #[test]
     fn dir_limit_is_never_exceeded() {
         let mut p = HashedPlacement::new(vpath("/.cofs"), 64, 4, 3);
-        let mut counts: HashMap<VPath, u32> = HashMap::new();
+        let mut counts: HashMap<SlotKey, u32> = HashMap::new();
         for i in 0..2000 {
-            let d = p.place(NodeId(0), Pid(1), &vpath("/v"), &format!("f{i}"));
-            *counts.entry(d).or_insert(0) += 1;
+            let d = p.place(NodeId(0), Pid(1), "/v", &format!("f{i}"));
+            *counts.entry(slot(&d)).or_insert(0) += 1;
         }
         for (d, n) in &counts {
-            assert!(*n <= 64, "{d} holds {n} > limit");
+            assert!(*n <= 64, "{d:?} holds {n} > limit");
             assert_eq!(p.entries_in(d), *n);
         }
         // The spread keeps several directories active.
@@ -228,8 +341,8 @@ mod tests {
         let mut p = policy();
         let mut slots = std::collections::HashSet::new();
         for i in 0..64 {
-            let d = p.place(NodeId(0), Pid(1), &vpath("/v"), &format!("f{i}"));
-            slots.insert(d.file_name().unwrap().to_string());
+            let d = p.place(NodeId(0), Pid(1), "/v", &format!("f{i}"));
+            slots.insert(slot(&d).slot);
         }
         assert!(slots.len() > 1, "randomization should spread files");
     }
@@ -241,17 +354,57 @@ mod tests {
         for i in 0..100 {
             let name = format!("f{i}");
             assert_eq!(
-                a.place(NodeId(2), Pid(3), &vpath("/v"), &name),
-                b.place(NodeId(2), Pid(3), &vpath("/v"), &name)
+                a.place(NodeId(2), Pid(3), "/v", &name),
+                b.place(NodeId(2), Pid(3), "/v", &name)
             );
         }
     }
 
     #[test]
+    fn numbered_directories_render_the_layout() {
+        let root = vpath("/.cofs");
+        let k = SlotKey {
+            node: 12,
+            hash: 0xab,
+            slot: 3,
+        };
+        let dir = UnderDir::Slot(k);
+        assert_eq!(dir.path(&root), vpath("/.cofs/n12/h00000000000000ab/d3"));
+        assert_eq!(
+            dir.file_path(&root, 1007),
+            vpath("/.cofs/n12/h00000000000000ab/d3/i1007")
+        );
+        let mut chain = vec![];
+        let mut cur = Some(dir);
+        while let Some(d) = cur {
+            chain.push(d.path(&root).as_str().to_string());
+            cur = d.parent(&root);
+        }
+        assert_eq!(
+            chain,
+            [
+                "/.cofs/n12/h00000000000000ab/d3",
+                "/.cofs/n12/h00000000000000ab",
+                "/.cofs/n12",
+                "/.cofs",
+                "/"
+            ]
+        );
+        assert!(UnderDir::Path(VPath::root()).is_root());
+        assert!(!UnderDir::Node(0).is_root());
+        // Under the filesystem root the layout adds no double slash.
+        assert_eq!(
+            UnderDir::Node(0).file_path(&VPath::root(), 9),
+            vpath("/n0/i9")
+        );
+    }
+
+    #[test]
     fn passthrough_mirrors_parent() {
         let mut p = PassthroughPlacement::new(vpath("/.under"));
-        let d = p.place(NodeId(5), Pid(9), &vpath("/a/b"), "f");
-        assert_eq!(d, vpath("/.under/a/b"));
+        let d = p.place(NodeId(5), Pid(9), "/a/b", "f");
+        assert_eq!(d, UnderDir::Path(vpath("/.under/a/b")));
+        assert_eq!(d.file_path(p.root(), 4), vpath("/.under/a/b/i4"));
         assert_eq!(p.label(), "passthrough");
     }
 

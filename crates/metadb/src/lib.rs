@@ -14,8 +14,9 @@
 //!   Mnesia disc-copies (memory reads, log-append writes, periodic
 //!   fsync to the locally attached ext3 disk).
 //!
-//! The COFS metadata service (`cofs::mds`) composes several tables
-//! (inodes, directory entries) and charges costs through a queueing
+//! The COFS metadata service (`cofs::mds`) keeps its directory
+//! entries in a [`table::Table`] (its inode rows sit in a dense store
+//! indexed by inode number) and charges costs through a queueing
 //! resource so the service's CPU is a proper bottleneck at scale.
 //!
 //! # Examples

@@ -8,6 +8,7 @@
 
 use crate::error::{DbError, DbErrorKind};
 use simcore::stats::Counters;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::RangeBounds;
@@ -87,6 +88,16 @@ impl<R: Record> Table<R> {
         // Reads are counted by the service layer, which owns timing;
         // `&self` methods cannot update counters without interior
         // mutability, which we avoid.
+        self.rows.get(key)
+    }
+
+    /// Looks up a record by a borrowed view of its key, so a caller
+    /// holding the parts of a composite key (say, a name as `&str`)
+    /// need not build an owned key for the probe.
+    pub fn get_by<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&R>
+    where
+        R::Key: Borrow<Q>,
+    {
         self.rows.get(key)
     }
 

@@ -1166,6 +1166,24 @@ mod tests {
     }
 
     #[test]
+    fn io_through_a_handle_survives_unlink() {
+        let mut fs = small_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.unlink(&ctx, &vpath("/f")).unwrap();
+        assert_eq!(fs.write(&ctx, fh, 0, 4096).unwrap().value, 4096);
+        assert_eq!(fs.read(&ctx, fh, 0, 8192).unwrap().value, 4096);
+        fs.close(&ctx, fh).unwrap();
+        assert!(fs
+            .stat(&ctx, &vpath("/f"))
+            .unwrap_err()
+            .is(vfs::error::Errno::ENOENT));
+    }
+
+    #[test]
     fn functional_namespace_matches_memfs_semantics() {
         let mut fs = small_fs();
         let ctx = OpCtx::test(NodeId(0));

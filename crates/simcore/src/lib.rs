@@ -10,6 +10,8 @@
 //!   queueing servers (metadata CPUs, disks, token managers);
 //! - [`bandwidth::BandwidthLink`] — capacity-limited links;
 //! - [`rng::SimRng`] — deterministic pseudo-randomness;
+//! - [`dense::DenseStore`] — records indexed by never-reused numbers
+//!   (the inode stores);
 //! - [`stats::Summary`] / [`stats::Counters`] — measurement capture.
 //!
 //! The simulation style is the *min-clock* discipline: each simulated
@@ -36,6 +38,7 @@
 
 pub mod admission;
 pub mod bandwidth;
+pub mod dense;
 pub mod resource;
 pub mod rng;
 pub mod stats;

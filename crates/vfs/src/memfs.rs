@@ -13,14 +13,25 @@
 //! - `open` follows trailing symlinks.
 //! - `utime`/`setattr` of times requires ownership or write access.
 //! - `chmod`/`chown` require ownership (or root).
+//! - Unlinking a file (or renaming over it) while handles to it are
+//!   open removes the name only: reads and writes through those
+//!   handles keep working, and the inode is freed on the last close
+//!   once no name refers to it (POSIX). Until then it counts in
+//!   [`MemFs::inode_count`] and `statfs`.
+//!
+//! Inodes live in a [`DenseStore`] indexed by inode number. The store
+//! hands out numbers in sequence and never reuses one, so a resolved
+//! number reaches its inode by indexing, and a number held by a stale
+//! reference can never alias a newer file.
 
 use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, FsResult, OpCtx, Timed};
-use crate::path::VPath;
+use crate::path::{splice_link, walk, VPath};
 use crate::types::{
     DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Ino, Mode, OpenFlags, SetAttr, Uid,
     MAX_NAME_LEN,
 };
+use simcore::dense::DenseStore;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
@@ -44,6 +55,9 @@ struct Inode {
     uid: Uid,
     gid: Gid,
     nlink: u32,
+    /// Open handles on this inode; it outlives its last name until
+    /// they are closed.
+    open: u32,
     atime: SimTime,
     mtime: SimTime,
     ctime: SimTime,
@@ -102,11 +116,11 @@ struct Handle {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemFs {
-    // Ordered so statfs and any future whole-namespace sweep visit
-    // inodes in a platform-independent order (lint rule D003).
-    inodes: BTreeMap<Ino, Inode>,
+    // Indexed by inode number, iterated in number order, so statfs and
+    // any whole-namespace sweep visit inodes in a platform-independent
+    // order (lint rule D003).
+    inodes: DenseStore<Inode>,
     handles: HashMap<FileHandle, Handle>,
-    next_ino: u64,
     next_fh: u64,
     /// Fixed cost charged per operation (local memory speed).
     op_cost: SimDuration,
@@ -119,36 +133,43 @@ impl MemFs {
     /// world-writable (like a freshly formatted scratch filesystem),
     /// so unprivileged test contexts can populate it.
     pub fn new() -> Self {
-        let mut inodes = BTreeMap::new();
-        inodes.insert(
-            ROOT_INO,
-            Inode {
-                ftype: FileType::Directory,
-                mode: Mode::new(0o777),
-                uid: Uid(0),
-                gid: Gid(0),
-                nlink: 2,
-                atime: SimTime::ZERO,
-                mtime: SimTime::ZERO,
-                ctime: SimTime::ZERO,
-                payload: Payload::Dir {
-                    entries: BTreeMap::new(),
-                },
+        let mut inodes = DenseStore::new(ROOT_INO.0);
+        inodes.push(Inode {
+            ftype: FileType::Directory,
+            mode: Mode::new(0o777),
+            uid: Uid(0),
+            gid: Gid(0),
+            nlink: 2,
+            open: 0,
+            atime: SimTime::ZERO,
+            mtime: SimTime::ZERO,
+            ctime: SimTime::ZERO,
+            payload: Payload::Dir {
+                entries: BTreeMap::new(),
             },
-        );
+        });
         MemFs {
             inodes,
             handles: HashMap::new(),
-            next_ino: 2,
             next_fh: 1,
             op_cost: SimDuration::from_nanos(500),
         }
     }
 
-    fn alloc_ino(&mut self) -> Ino {
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
-        ino
+    /// Stores a new inode created by `ctx` under a fresh number.
+    fn new_inode(&mut self, ctx: &OpCtx, ftype: FileType, mode: Mode, payload: Payload) -> Ino {
+        Ino(self.inodes.push(Inode {
+            ftype,
+            mode,
+            uid: ctx.uid,
+            gid: ctx.gid,
+            nlink: if ftype == FileType::Directory { 2 } else { 1 },
+            open: 0,
+            atime: ctx.now,
+            mtime: ctx.now,
+            ctime: ctx.now,
+            payload,
+        }))
     }
 
     fn alloc_fh(&mut self) -> FileHandle {
@@ -158,74 +179,53 @@ impl MemFs {
     }
 
     fn node(&self, ino: Ino) -> &Inode {
-        self.inodes.get(&ino).expect("dangling inode reference")
+        self.inodes.get(ino.0).expect("dangling inode reference")
     }
 
     fn node_mut(&mut self, ino: Ino) -> &mut Inode {
-        self.inodes.get_mut(&ino).expect("dangling inode reference")
+        self.inodes
+            .get_mut(ino.0)
+            .expect("dangling inode reference")
     }
 
-    /// Resolves a path to an inode. `follow_last` controls trailing
-    /// symlink behaviour (true for open, false for stat/unlink).
+    /// Resolves a path to an inode. `path` is the text of a [`VPath`]
+    /// (or of one of its ancestors) and names the path in errors.
+    /// `follow_last` controls trailing symlink behaviour (true for
+    /// open, false for stat/unlink).
     fn resolve(
         &self,
         ctx: &OpCtx,
-        path: &VPath,
+        path: &str,
         op: &'static str,
         follow_last: bool,
         mut depth: u32,
     ) -> Result<Ino, FsError> {
         let mut cur = ROOT_INO;
-        let comps: Vec<&str> = path.components().collect();
-        for (i, comp) in comps.iter().enumerate() {
+        for step in walk(path) {
             let node = self.node(cur);
             let entries = node
                 .entries()
-                .ok_or_else(|| FsError::new(Errno::ENOTDIR, op, path.as_str()))?;
+                .ok_or_else(|| FsError::new(Errno::ENOTDIR, op, path))?;
             if !node.mode.allows_exec(ctx.uid, ctx.gid, node.uid, node.gid) {
-                return Err(FsError::new(Errno::EACCES, op, path.as_str()));
+                return Err(FsError::new(Errno::EACCES, op, path));
             }
             let next = *entries
-                .get(*comp)
-                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path.as_str()))?;
-            let is_last = i == comps.len() - 1;
+                .get(step.name)
+                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path))?;
             let child = self.node(next);
-            if child.ftype == FileType::Symlink && (!is_last || follow_last) {
+            if child.ftype == FileType::Symlink && (!step.last || follow_last) {
                 if depth >= MAX_SYMLINK_DEPTH {
-                    return Err(FsError::new(Errno::EINVAL, op, path.as_str()));
+                    return Err(FsError::new(Errno::EINVAL, op, path));
                 }
                 depth += 1;
-                let target = match &child.payload {
-                    Payload::Symlink { target } => target.clone(),
-                    _ => unreachable!("symlink payload"),
+                let Payload::Symlink { target } = &child.payload else {
+                    unreachable!("symlink payload")
                 };
                 // Resolve the link target (absolute or relative to the
                 // link's directory), then continue with the remaining
                 // components.
-                let base = if target.starts_with('/') {
-                    VPath::new(&target)?
-                } else {
-                    // `cur` is the parent dir of the link; rebuild its
-                    // path from the prefix walked so far.
-                    let mut prefix = VPath::root();
-                    for c in comps.iter().take(i) {
-                        prefix = prefix.join(c);
-                    }
-                    let mut p = prefix;
-                    for part in target.split('/').filter(|c| !c.is_empty()) {
-                        match part {
-                            "." => {}
-                            ".." => p = p.parent().unwrap_or_else(VPath::root),
-                            c => p = p.join(c),
-                        }
-                    }
-                    p
-                };
-                let mut full = base;
-                for c in comps.iter().skip(i + 1) {
-                    full = full.join(c);
-                }
-                return self.resolve(ctx, &full, op, follow_last, depth);
+                let full = splice_link(path, step, target)?;
+                return self.resolve(ctx, full.as_str(), op, follow_last, depth);
             }
             cur = next;
         }
@@ -234,23 +234,19 @@ impl MemFs {
 
     /// Resolves the parent directory of `path` and returns
     /// `(parent_ino, final_name)`, validating the name length.
-    fn resolve_parent(
+    fn resolve_parent<'p>(
         &self,
         ctx: &OpCtx,
-        path: &VPath,
+        path: &'p VPath,
         op: &'static str,
-    ) -> Result<(Ino, String), FsError> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?;
+    ) -> Result<(Ino, &'p str), FsError> {
         let name = path
             .file_name()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?
-            .to_string();
+            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?;
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::new(Errno::ENAMETOOLONG, op, path.as_str()));
         }
-        let pino = self.resolve(ctx, &parent, op, true, 0)?;
+        let pino = self.resolve(ctx, path.parent_str(), op, true, 0)?;
         let pnode = self.node(pino);
         if pnode.ftype != FileType::Directory {
             return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
@@ -300,14 +296,24 @@ impl MemFs {
         Ok(Timed::new(value, ctx.now + self.op_cost))
     }
 
-    /// Drops an inode if its link count reached zero (files/symlinks).
+    /// Drops an inode once no name and no open handle refers to it.
     fn maybe_free(&mut self, ino: Ino) {
-        if self.node(ino).nlink == 0 {
-            self.inodes.remove(&ino);
+        let n = self.node(ino);
+        if n.nlink == 0 && n.open == 0 {
+            self.inodes.remove(ino.0);
         }
     }
 
-    /// Number of live inodes (for tests).
+    /// Registers an open handle on `ino`.
+    fn open_handle(&mut self, ino: Ino, flags: OpenFlags) -> FileHandle {
+        let fh = self.alloc_fh();
+        self.node_mut(ino).open += 1;
+        self.handles.insert(fh, Handle { ino, flags });
+        fh
+    }
+
+    /// Number of live inodes: every inode a name refers to, plus
+    /// unlinked ones still held open.
     pub fn inode_count(&self) -> usize {
         self.inodes.len()
     }
@@ -332,32 +338,23 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "mkdir", path.as_str()));
         }
-        let ino = self.alloc_ino();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ftype: FileType::Directory,
-                mode,
-                uid: ctx.uid,
-                gid: ctx.gid,
-                nlink: 2,
-                atime: ctx.now,
-                mtime: ctx.now,
-                ctime: ctx.now,
-                payload: Payload::Dir {
-                    entries: BTreeMap::new(),
-                },
+        let ino = self.new_inode(
+            ctx,
+            FileType::Directory,
+            mode,
+            Payload::Dir {
+                entries: BTreeMap::new(),
             },
         );
         let parent = self.node_mut(pino);
         parent
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         parent.nlink += 1; // the child's ".." entry
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
@@ -373,7 +370,7 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .get(&name)
+            .get(name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?;
         let node = self.node(ino);
         match node.entries() {
@@ -386,9 +383,10 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .remove(&name);
+            .remove(name);
         self.node_mut(pino).nlink -= 1;
-        self.inodes.remove(&ino);
+        self.node_mut(ino).nlink = 0;
+        self.maybe_free(ino);
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
     }
@@ -400,43 +398,22 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
         }
-        let ino = self.alloc_ino();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ftype: FileType::Regular,
-                mode,
-                uid: ctx.uid,
-                gid: ctx.gid,
-                nlink: 1,
-                atime: ctx.now,
-                mtime: ctx.now,
-                ctime: ctx.now,
-                payload: Payload::File { size: 0 },
-            },
-        );
+        let ino = self.new_inode(ctx, FileType::Regular, mode, Payload::File { size: 0 });
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         self.touch_parent(pino, ctx.now);
-        let fh = self.alloc_fh();
-        self.handles.insert(
-            fh,
-            Handle {
-                ino,
-                flags: OpenFlags::RDWR,
-            },
-        );
+        let fh = self.open_handle(ino, OpenFlags::RDWR);
         self.done(ctx, fh)
     }
 
     fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
-        let ino = self.resolve(ctx, path, "open", true, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "open", true, 0)?;
         let node = self.node(ino);
         if node.ftype == FileType::Directory && (flags.write || flags.truncate) {
             return Err(FsError::new(Errno::EISDIR, "open", path.as_str()));
@@ -455,15 +432,17 @@ impl FileSystem for MemFs {
             n.mtime = ctx.now;
             n.ctime = ctx.now;
         }
-        let fh = self.alloc_fh();
-        self.handles.insert(fh, Handle { ino, flags });
+        let fh = self.open_handle(ino, flags);
         self.done(ctx, fh)
     }
 
     fn close(&mut self, ctx: &OpCtx, fh: FileHandle) -> FsResult<()> {
-        self.handles
+        let h = self
+            .handles
             .remove(&fh)
             .ok_or_else(|| FsError::new(Errno::EBADF, "close", fh.to_string()))?;
+        self.node_mut(h.ino).open -= 1;
+        self.maybe_free(h.ino);
         self.done(ctx, ())
     }
 
@@ -504,13 +483,13 @@ impl FileSystem for MemFs {
     }
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
-        let ino = self.resolve(ctx, path, "stat", false, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "stat", false, 0)?;
         let attr = self.attr_of(ino);
         self.done(ctx, attr)
     }
 
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
-        let ino = self.resolve(ctx, path, "setattr", true, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "setattr", true, 0)?;
         let node = self.node(ino);
         let is_owner = ctx.uid == Uid(0) || ctx.uid == node.uid;
         if (set.mode.is_some() || set.uid.is_some() || set.gid.is_some()) && !is_owner {
@@ -559,7 +538,7 @@ impl FileSystem for MemFs {
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
-        let ino = self.resolve(ctx, path, "readdir", true, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "readdir", true, 0)?;
         let node = self.node(ino);
         if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
             return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
@@ -586,7 +565,7 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .get(&name)
+            .get(name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?;
         if self.node(ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EISDIR, "unlink", path.as_str()));
@@ -594,7 +573,7 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .remove(&name);
+            .remove(name);
         let n = self.node_mut(ino);
         n.nlink -= 1;
         n.ctime = ctx.now;
@@ -607,7 +586,7 @@ impl FileSystem for MemFs {
         if from == to {
             // POSIX: renaming a name onto itself succeeds only if it
             // exists (resolution errors still apply).
-            self.resolve(ctx, from, "rename", false, 0)?;
+            self.resolve(ctx, from.as_str(), "rename", false, 0)?;
             return self.done(ctx, ());
         }
         if to.starts_with(from) {
@@ -621,7 +600,7 @@ impl FileSystem for MemFs {
             .node(from_pino)
             .entries()
             .expect("parent is dir")
-            .get(&from_name)
+            .get(from_name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?;
         let src_is_dir = self.node(src_ino).ftype == FileType::Directory;
         // Handle an existing target.
@@ -629,7 +608,7 @@ impl FileSystem for MemFs {
             .node(to_pino)
             .entries()
             .expect("parent is dir")
-            .get(&to_name)
+            .get(to_name)
         {
             let dst = self.node(dst_ino);
             match (src_is_dir, dst.ftype == FileType::Directory) {
@@ -642,15 +621,16 @@ impl FileSystem for MemFs {
                     self.node_mut(to_pino)
                         .entries_mut()
                         .expect("parent is dir")
-                        .remove(&to_name);
+                        .remove(to_name);
                     self.node_mut(to_pino).nlink -= 1;
-                    self.inodes.remove(&dst_ino);
+                    self.node_mut(dst_ino).nlink = 0;
+                    self.maybe_free(dst_ino);
                 }
                 (false, false) => {
                     self.node_mut(to_pino)
                         .entries_mut()
                         .expect("parent is dir")
-                        .remove(&to_name);
+                        .remove(to_name);
                     let d = self.node_mut(dst_ino);
                     d.nlink -= 1;
                     d.ctime = ctx.now;
@@ -661,11 +641,11 @@ impl FileSystem for MemFs {
         self.node_mut(from_pino)
             .entries_mut()
             .expect("parent is dir")
-            .remove(&from_name);
+            .remove(from_name);
         self.node_mut(to_pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(to_name, src_ino);
+            .insert(to_name.to_string(), src_ino);
         if src_is_dir && from_pino != to_pino {
             self.node_mut(from_pino).nlink -= 1;
             self.node_mut(to_pino).nlink += 1;
@@ -677,7 +657,7 @@ impl FileSystem for MemFs {
     }
 
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
-        let ino = self.resolve(ctx, existing, "link", true, 0)?;
+        let ino = self.resolve(ctx, existing.as_str(), "link", true, 0)?;
         if self.node(ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
         }
@@ -687,14 +667,14 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "link", new.as_str()));
         }
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         let n = self.node_mut(ino);
         n.nlink += 1;
         n.ctime = ctx.now;
@@ -709,37 +689,28 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "symlink", new.as_str()));
         }
-        let ino = self.alloc_ino();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ftype: FileType::Symlink,
-                mode: Mode::new(0o777),
-                uid: ctx.uid,
-                gid: ctx.gid,
-                nlink: 1,
-                atime: ctx.now,
-                mtime: ctx.now,
-                ctime: ctx.now,
-                payload: Payload::Symlink {
-                    target: target.to_string(),
-                },
+        let ino = self.new_inode(
+            ctx,
+            FileType::Symlink,
+            Mode::new(0o777),
+            Payload::Symlink {
+                target: target.to_string(),
             },
         );
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
     }
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
-        let ino = self.resolve(ctx, path, "readlink", false, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "readlink", false, 0)?;
         match &self.node(ino).payload {
             Payload::Symlink { target } => {
                 let t = target.clone();
@@ -907,6 +878,70 @@ mod tests {
         assert_eq!(fs.inode_count(), before, "inode survives via /g");
         assert_eq!(fs.stat(&ctx, &vpath("/g")).unwrap().value.nlink, 1);
         fs.unlink(&ctx, &vpath("/g")).unwrap();
+        assert_eq!(fs.inode_count(), before - 1);
+    }
+
+    #[test]
+    fn io_through_a_handle_survives_unlink_until_last_close() {
+        let (mut fs, ctx) = fs_and_ctx();
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        let rd = fs
+            .open(&ctx, &vpath("/f"), OpenFlags::RDONLY)
+            .unwrap()
+            .value;
+        let before = fs.inode_count();
+        fs.unlink(&ctx, &vpath("/f")).unwrap();
+        assert!(fs.stat(&ctx, &vpath("/f")).unwrap_err().is(Errno::ENOENT));
+        // The name is gone; the open file is not.
+        assert_eq!(fs.inode_count(), before);
+        assert_eq!(fs.statfs(&ctx).unwrap().value.inodes, before as u64);
+        assert_eq!(fs.write(&ctx, fh, 0, 64).unwrap().value, 64);
+        assert_eq!(fs.read(&ctx, rd, 0, 100).unwrap().value, 64);
+        fs.close(&ctx, fh).unwrap();
+        assert_eq!(fs.inode_count(), before, "still open for reading");
+        assert_eq!(fs.read(&ctx, rd, 32, 100).unwrap().value, 32);
+        fs.close(&ctx, rd).unwrap();
+        assert_eq!(fs.inode_count(), before - 1, "freed on the last close");
+    }
+
+    #[test]
+    fn rename_over_an_open_file_keeps_its_handle_working() {
+        let (mut fs, ctx) = fs_and_ctx();
+        let victim = fs
+            .create(&ctx, &vpath("/dst"), Mode::file_default())
+            .unwrap()
+            .value;
+        let src = fs
+            .create(&ctx, &vpath("/src"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.close(&ctx, src).unwrap();
+        let before = fs.inode_count();
+        fs.rename(&ctx, &vpath("/src"), &vpath("/dst")).unwrap();
+        assert_eq!(fs.inode_count(), before, "the replaced file is open");
+        assert_eq!(fs.write(&ctx, victim, 0, 10).unwrap().value, 10);
+        // The new /dst is the renamed file, untouched by that write.
+        assert_eq!(fs.stat(&ctx, &vpath("/dst")).unwrap().value.size, 0);
+        fs.close(&ctx, victim).unwrap();
+        assert_eq!(fs.inode_count(), before - 1);
+    }
+
+    #[test]
+    fn rmdir_of_an_open_directory_frees_it_on_close() {
+        let (mut fs, ctx) = fs_and_ctx();
+        fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
+        let fh = fs
+            .open(&ctx, &vpath("/d"), OpenFlags::RDONLY)
+            .unwrap()
+            .value;
+        let before = fs.inode_count();
+        fs.rmdir(&ctx, &vpath("/d")).unwrap();
+        assert_eq!(fs.inode_count(), before);
+        assert_eq!(fs.read(&ctx, fh, 0, 10).unwrap().value, 0);
+        fs.close(&ctx, fh).unwrap();
         assert_eq!(fs.inode_count(), before - 1);
     }
 

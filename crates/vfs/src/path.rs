@@ -99,6 +99,54 @@ impl VPath {
         }
     }
 
+    /// The text of the containing directory, borrowed from this path:
+    /// what [`Self::parent`] would return, without allocating. The root
+    /// is its own parent here (`"/"`), which is how routing and
+    /// placement treat it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vfs::path::{vpath, VPath};
+    ///
+    /// assert_eq!(vpath("/a/b/c").parent_str(), "/a/b");
+    /// assert_eq!(vpath("/a").parent_str(), "/");
+    /// assert_eq!(VPath::root().parent_str(), "/");
+    /// ```
+    pub fn parent_str(&self) -> &str {
+        let i = self.0.rfind('/').unwrap_or(0);
+        &self.0[..i.max(1)]
+    }
+
+    /// Appends one component rendered from `name`, in place: [`Self::join`]
+    /// without the intermediate strings of a `format!` per component.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::join`]: the rendered name must be one non-empty
+    /// component.
+    pub fn push(&mut self, name: impl fmt::Display) {
+        use fmt::Write;
+        if !self.is_root() {
+            self.0.push('/');
+        }
+        let start = self.0.len();
+        write!(self.0, "{name}").expect("writing to a String cannot fail");
+        let comp = &self.0[start..];
+        assert!(
+            !comp.is_empty() && !comp.contains('/'),
+            "push expects a single non-empty component, got {comp:?}"
+        );
+    }
+
+    /// A copy of this path with room for `additional` more bytes of
+    /// text, so a run of [`Self::push`] calls on it allocates once.
+    pub fn with_room(&self, additional: usize) -> VPath {
+        let mut s = String::with_capacity(self.0.len() + additional);
+        s.push_str(&self.0);
+        VPath(s)
+    }
+
     /// Appends one component.
     ///
     /// # Panics
@@ -160,6 +208,105 @@ impl VPath {
     }
 }
 
+impl std::borrow::Borrow<str> for VPath {
+    /// A path is keyed by its normalized text, so maps of paths can be
+    /// probed with a borrowed slice such as [`VPath::parent_str`].
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+/// One component met while walking a normalized path's text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step<'a> {
+    /// The component's name.
+    pub name: &'a str,
+    /// Byte offset of the name in the walked text.
+    pub start: usize,
+    /// Byte offset just past the name.
+    pub end: usize,
+    /// True for the final component.
+    pub last: bool,
+}
+
+/// Walks the components of `path`, the text of a [`VPath`] or of one of
+/// its ancestors (such as [`VPath::parent_str`]), without allocating.
+/// Path resolution uses the offsets to splice a symlink target in with
+/// [`splice_link`].
+///
+/// # Examples
+///
+/// ```
+/// use vfs::path::walk;
+///
+/// let names: Vec<(&str, bool)> = walk("/a/bc").map(|s| (s.name, s.last)).collect();
+/// assert_eq!(names, vec![("a", false), ("bc", true)]);
+/// assert_eq!(walk("/").count(), 0);
+/// ```
+pub fn walk(path: &str) -> impl Iterator<Item = Step<'_>> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let rest = &path[pos..];
+        let skipped = rest.len() - rest.trim_start_matches('/').len();
+        let start = pos + skipped;
+        if start >= path.len() {
+            return None;
+        }
+        let end = path[start..].find('/').map_or(path.len(), |i| start + i);
+        pos = end;
+        Some(Step {
+            name: &path[start..end],
+            start,
+            end,
+            last: path[end..].trim_matches('/').is_empty(),
+        })
+    })
+}
+
+/// The path a resolution continues with after meeting a symlink to
+/// `target` at component `at` of `path`: the target (absolute, or
+/// relative to the link's directory, with `.` and `..` resolved
+/// lexically and never above the root) followed by the components of
+/// `path` after the link.
+///
+/// # Errors
+///
+/// `EINVAL` if an absolute `target` is not a valid path.
+///
+/// # Examples
+///
+/// ```
+/// use vfs::path::{splice_link, vpath, walk};
+///
+/// let path = "/a/link/c";
+/// let at = walk(path).nth(1).unwrap();
+/// assert_eq!(splice_link(path, at, "../b")?, vpath("/b/c"));
+/// assert_eq!(splice_link(path, at, "/x")?, vpath("/x/c"));
+/// # Ok::<(), vfs::error::FsError>(())
+/// ```
+pub fn splice_link(path: &str, at: Step<'_>, target: &str) -> Result<VPath, FsError> {
+    let mut full = if target.starts_with('/') {
+        VPath::new(target)?
+    } else {
+        let mut p = VPath::root();
+        for c in walk(&path[..at.start]) {
+            p = p.join(c.name);
+        }
+        for part in target.split('/').filter(|c| !c.is_empty()) {
+            match part {
+                "." => {}
+                ".." => p = p.parent().unwrap_or_else(VPath::root),
+                c => p = p.join(c),
+            }
+        }
+        p
+    };
+    for c in walk(&path[at.end..]) {
+        full = full.join(c.name);
+    }
+    Ok(full)
+}
+
 impl fmt::Display for VPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
@@ -217,6 +364,58 @@ mod tests {
         assert_eq!(vpath("/a").parent().unwrap(), VPath::root());
         assert_eq!(VPath::root().parent(), None);
         assert_eq!(VPath::root().file_name(), None);
+    }
+
+    #[test]
+    fn parent_str_matches_parent() {
+        for raw in ["/", "/a", "/a/b", "/a/b/cde"] {
+            let p = vpath(raw);
+            let want = p.parent().unwrap_or_else(VPath::root);
+            assert_eq!(p.parent_str(), want.as_str(), "{raw}");
+        }
+    }
+
+    #[test]
+    fn push_matches_join() {
+        let mut p = VPath::root().with_room(16);
+        p.push(format_args!("n{}", 3));
+        p.push("h00ff");
+        assert_eq!(p, VPath::root().join("n3").join("h00ff"));
+    }
+
+    #[test]
+    #[should_panic(expected = "single non-empty component")]
+    fn push_rejects_separators() {
+        vpath("/a").push("b/c");
+    }
+
+    #[test]
+    fn walk_offsets_cover_each_component() {
+        let path = "/ab/c/def";
+        let steps: Vec<Step<'_>> = walk(path).collect();
+        assert_eq!(steps.len(), 3);
+        for s in &steps {
+            assert_eq!(&path[s.start..s.end], s.name);
+        }
+        assert_eq!(
+            steps.iter().map(|s| s.last).collect::<Vec<_>>(),
+            vec![false, false, true]
+        );
+        assert_eq!(
+            walk(path).map(|s| s.name).collect::<Vec<_>>(),
+            vpath(path).components().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn splice_link_resolves_relative_targets_lexically() {
+        let path = "/a/l/x";
+        let at = walk(path).nth(1).unwrap();
+        assert_eq!(splice_link(path, at, "b/./c").unwrap(), vpath("/a/b/c/x"));
+        assert_eq!(splice_link(path, at, "../../..").unwrap(), vpath("/x"));
+        let last = walk(path).last().unwrap();
+        assert_eq!(splice_link(path, last, "y").unwrap(), vpath("/a/l/y"));
+        assert!(splice_link(path, at, "/nul\0").is_err());
     }
 
     #[test]

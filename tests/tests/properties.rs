@@ -59,7 +59,7 @@ mod placement_props {
             let mut p = HashedPlacement::new(vpath("/.u"), limit, spread, seed);
             let mut counts: HashMap<VPath, u32> = HashMap::new();
             for i in 0..n {
-                let d = p.place(NodeId(0), Pid(1), &vpath("/v"), &format!("f{i}"));
+                let d = p.place(NodeId(0), Pid(1), "/v", &format!("f{i}")).path(p.root());
                 let c = counts.entry(d).or_insert(0);
                 *c += 1;
                 prop_assert!(*c <= limit);
@@ -71,8 +71,8 @@ mod placement_props {
         fn placement_stays_under_root(seed in 0u64..1000, n in 1usize..100) {
             let mut p = HashedPlacement::new(vpath("/.u"), 512, 4, seed);
             for i in 0..n {
-                let d = p.place(NodeId((i % 5) as u32), Pid(1), &vpath("/v"), &format!("f{i}"));
-                prop_assert!(d.starts_with(&vpath("/.u")));
+                let d = p.place(NodeId((i % 5) as u32), Pid(1), "/v", &format!("f{i}"));
+                prop_assert!(d.path(p.root()).starts_with(&vpath("/.u")));
             }
         }
     }
@@ -268,6 +268,167 @@ mod summary_props {
             prop_assert!(s.mean() <= s.max());
             prop_assert!(s.quantile(0.25) <= s.quantile(0.75));
             prop_assert_eq!(s.count(), samples.len());
+        }
+    }
+}
+
+mod inode_store_props {
+    use super::*;
+    use cofs::mds::{Cred, Mds};
+    use netsim::ids::NodeId;
+    use simcore::time::SimTime;
+    use std::collections::BTreeSet;
+    use vfs::fs::{FileSystem, OpCtx};
+    use vfs::memfs::MemFs;
+    use vfs::path::{vpath, VPath};
+    use vfs::types::{FileHandle, FileType, Gid, Mode, OpenFlags, Uid};
+
+    /// The names random sequences operate on: nested enough for
+    /// rename-over, rmdir of non-empty directories and cross-directory
+    /// links to happen.
+    const PATHS: [&str; 10] = [
+        "/a", "/b", "/d0", "/d1", "/d0/a", "/d0/b", "/d0/e", "/d0/e/a", "/d1/a", "/d1/b",
+    ];
+
+    fn pick(i: u8) -> VPath {
+        vpath(PATHS[i as usize % PATHS.len()])
+    }
+
+    /// Every inode number reachable from the root of `list`'s namespace
+    /// by a tree walk (hard links count once).
+    fn reachable(
+        root: u64,
+        mut list: impl FnMut(&VPath) -> Vec<(String, u64, bool)>,
+    ) -> BTreeSet<u64> {
+        let mut seen = BTreeSet::from([root]);
+        let mut todo = vec![VPath::root()];
+        while let Some(dir) = todo.pop() {
+            for (name, ino, is_dir) in list(&dir) {
+                seen.insert(ino);
+                if is_dir {
+                    todo.push(dir.join(&name));
+                }
+            }
+        }
+        seen
+    }
+
+    proptest! {
+        /// `MemFs` counts exactly the inodes a tree walk reaches plus
+        /// the unlinked ones still held open, in `inode_count` and
+        /// `statfs`, and never hands a freed inode number out again.
+        #[test]
+        fn memfs_counts_live_inodes_and_never_reuses_numbers(
+            steps in prop::collection::vec((0u8..8, 0u8..10, 0u8..10), 1..80),
+        ) {
+            let mut fs = MemFs::new();
+            let ctx = OpCtx::test(NodeId(0));
+            let mut open: Vec<(FileHandle, u64)> = Vec::new();
+            let mut newest = 1u64;
+            for (kind, a, b) in steps {
+                let (p, q) = (pick(a), pick(b));
+                let mut made = false;
+                match kind {
+                    0 => made = fs.mkdir(&ctx, &p, Mode::dir_default()).is_ok(),
+                    1 | 2 => {
+                        let fh = if kind == 1 {
+                            fs.create(&ctx, &p, Mode::file_default())
+                        } else {
+                            fs.open(&ctx, &p, OpenFlags::RDONLY)
+                        };
+                        if let Ok(fh) = fh {
+                            made = kind == 1;
+                            open.push((fh.value, fs.stat(&ctx, &p).unwrap().value.ino.0));
+                        }
+                    }
+                    3 => { let _ = fs.link(&ctx, &p, &q); }
+                    4 => { let _ = fs.unlink(&ctx, &p); }
+                    5 => { let _ = fs.rename(&ctx, &p, &q); }
+                    6 => { let _ = fs.rmdir(&ctx, &p); }
+                    _ => {
+                        if !open.is_empty() {
+                            let (fh, _) = open.remove(b as usize % open.len());
+                            fs.close(&ctx, fh).unwrap();
+                        }
+                    }
+                }
+                if made {
+                    let ino = fs.stat(&ctx, &p).unwrap().value.ino.0;
+                    prop_assert!(ino > newest, "inode {} handed out again (newest {})", ino, newest);
+                    newest = ino;
+                }
+                let mut live = reachable(1, |d| {
+                    fs.readdir(&ctx, d)
+                        .unwrap()
+                        .value
+                        .into_iter()
+                        .map(|e| (e.name, e.ino.0, e.ftype == FileType::Directory))
+                        .collect()
+                });
+                live.extend(open.iter().map(|&(_, ino)| ino));
+                prop_assert_eq!(fs.inode_count(), live.len());
+                prop_assert_eq!(fs.statfs(&ctx).unwrap().value.inodes, live.len() as u64);
+                // Every open handle still reaches its inode.
+                for &(fh, _) in &open {
+                    prop_assert!(fs.read(&ctx, fh, 0, 1).is_ok());
+                }
+            }
+        }
+
+        /// The metadata service counts exactly the inodes a tree walk
+        /// reaches and never hands a freed inode number out again.
+        #[test]
+        fn mds_counts_live_inodes_and_never_reuses_numbers(
+            steps in prop::collection::vec((0u8..7, 0u8..10, 0u8..10), 1..80),
+        ) {
+            let mut mds = Mds::new();
+            let cred = Cred { uid: Uid(1000), gid: Gid(1000) };
+            let now = SimTime::ZERO;
+            let mut newest = 1u64;
+            for (seq, (kind, a, b)) in steps.into_iter().enumerate() {
+                let (p, q) = (pick(a), pick(b));
+                let made = match kind {
+                    0 => mds.mkdir(cred, &p, Mode::dir_default(), now).is_ok(),
+                    1 => {
+                        let mapping = vpath(&format!("/.u/i{seq}"));
+                        mds.create(cred, &p, Mode::file_default(), mapping, now).is_ok()
+                    }
+                    2 => {
+                        let _ = mds.link(cred, &p, &q, now);
+                        false
+                    }
+                    3 => {
+                        let _ = mds.unlink(cred, &p, now);
+                        false
+                    }
+                    4 => {
+                        let _ = mds.rename(cred, &p, &q, now);
+                        false
+                    }
+                    5 => {
+                        let _ = mds.rmdir(cred, &p, now);
+                        false
+                    }
+                    _ => mds.symlink(cred, "/a", &p, now).is_ok(),
+                };
+                if made {
+                    let ino = mds.getattr(cred, &p).unwrap().0.ino;
+                    prop_assert!(ino > newest, "inode {} handed out again (newest {})", ino, newest);
+                    newest = ino;
+                }
+                let live = reachable(1, |d| {
+                    mds.readdir(cred, d)
+                        .unwrap()
+                        .0
+                        .into_iter()
+                        .map(|e| (e.name, e.ino.0, e.ftype == FileType::Directory))
+                        .collect()
+                });
+                prop_assert_eq!(mds.inode_count(), live.len() as u64);
+                for &ino in &live {
+                    prop_assert!(mds.contains(ino));
+                }
+            }
         }
     }
 }
