@@ -17,7 +17,7 @@ const MB: u64 = 1024 * 1024;
 fn mds_raw_ops(shards: usize) {
     use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
     use cofs::mds::Cred;
-    use cofs::mds_cluster::MdsCluster;
+    use cofs::mds_cluster::{MdsCluster, Request};
     use netsim::ids::NodeId;
     use simcore::time::{SimDuration, SimTime};
     use vfs::path::vpath;
@@ -40,18 +40,18 @@ fn mds_raw_ops(shards: usize) {
             .mkdir(cred, &dir, Mode::dir_default(), now)
             .unwrap();
         let shard = cluster.route(&dir);
-        now = cluster.rpc(&cfg, &net, node, shard, ops, now);
+        now = cluster.serve(&cfg, &net, node, Request::Single(shard, ops), now);
     }
     for i in 0..256usize {
         let path = vpath(&format!("/d{}/f{i}", i % DIRS));
         let (_, ops) = cluster
             .namespace_mut()
-            .create(cred, &path, Mode::file_default(), vpath("/.u/x"), now)
+            .create(cred, &path, Mode::file_default(), || vpath("/.u/x"), now)
             .unwrap();
         let shard = cluster.route(&path);
-        now = cluster.rpc(&cfg, &net, node, shard, ops, now);
+        now = cluster.serve(&cfg, &net, node, Request::Single(shard, ops), now);
         let (_, ops) = cluster.namespace().getattr(cred, &path).unwrap();
-        now = cluster.rpc(&cfg, &net, node, shard, ops, now);
+        now = cluster.serve(&cfg, &net, node, Request::Single(shard, ops), now);
         let to = vpath(&format!("/d{}/g{i}", (i + 3) % DIRS));
         let ops = cluster
             .namespace_mut()
@@ -59,9 +59,9 @@ fn mds_raw_ops(shards: usize) {
             .unwrap();
         let (a, b) = (cluster.route(&path), cluster.route(&to));
         now = if a == b {
-            cluster.rpc(&cfg, &net, node, a, ops, now)
+            cluster.serve(&cfg, &net, node, Request::Single(a, ops), now)
         } else {
-            cluster.rpc_cross(&cfg, &net, node, (a, b), ops, now)
+            cluster.serve(&cfg, &net, node, Request::TwoPhase((a, b), ops), now)
         };
     }
 }
@@ -97,7 +97,7 @@ fn bench_mds_readdir(c: &mut Criterion) {
                 cred,
                 &dir.join(&format!("f{i}")),
                 Mode::file_default(),
-                vpath(&format!("/.u/f{i}")),
+                || vpath(&format!("/.u/f{i}")),
                 SimTime::ZERO,
             )
             .unwrap();
@@ -181,7 +181,7 @@ fn bench_mds_stat(c: &mut Criterion) {
                 cred,
                 &path,
                 Mode::file_default(),
-                vpath(&format!("/.u/f{i}")),
+                || vpath(&format!("/.u/f{i}")),
                 SimTime::ZERO,
             )
             .unwrap();

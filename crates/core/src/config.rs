@@ -37,15 +37,16 @@ pub enum ShardPolicyKind {
 
 /// Write-behind journaling knobs on [`CofsConfig`].
 ///
-/// With write-behind on, [`crate::mds_cluster::MdsCluster::rpc_batch`]
-/// acks a mutation batch once its ops are appended to the shard's
-/// journal (one sequential append per batch) and applies the rows off
-/// the critical path, after coalescing same-parent siblings
-/// ([`crate::batch::coalesce_writes`]). The durability window bounds
-/// how far application may trail acks: a batch whose admission would
-/// exceed either limit waits for older applies to finish, exactly like
-/// `pipeline_depth` slot backpressure. Acked-but-unapplied work is the
-/// *crash-consistency window* — what a shard crash could lose.
+/// With write-behind on, [`crate::mds_cluster::MdsCluster::serve`]
+/// acks a mutation batch ([`crate::mds_cluster::Request::Batch`]) once
+/// its ops are appended to the shard's journal (one sequential append
+/// per batch) and applies the rows off the critical path, after
+/// coalescing same-parent siblings ([`crate::batch::coalesce_writes`]).
+/// Single requests always commit synchronously. The durability window
+/// bounds how far application may trail acks: a batch whose admission
+/// would exceed either limit waits for older applies to finish, exactly
+/// like `pipeline_depth` slot backpressure. Acked-but-unapplied work is
+/// the *crash-consistency window* — what a shard crash could lose.
 ///
 /// The default is **disabled**, so existing calibration numbers are
 /// reproduced bit-for-bit unless a harness opts in.
@@ -350,7 +351,7 @@ impl CofsConfig {
     /// A copy of this config with per-batch read memoization switched
     /// on: each distinct ancestor-chain row is charged once per batch
     /// RPC instead of once per operation (see
-    /// [`crate::mds_cluster::MdsCluster::rpc_batch`]).
+    /// [`crate::mds_cluster::MdsCluster::serve`]).
     ///
     /// # Panics
     ///

@@ -13,7 +13,7 @@ use crate::client_cache::{CacheStats, ClientCache, EntryKind, LeaseKey};
 use crate::config::{CofsConfig, MdsNetwork};
 use crate::fault::{FaultSummary, RetryStats};
 use crate::mds::{Cred, DbOps, Mds, ReadSet, WriteSet};
-use crate::mds_cluster::{MdsCluster, ShardPolicy, ShardUsage};
+use crate::mds_cluster::{MdsCluster, Request, ShardPolicy, ShardUsage};
 use crate::placement::{HashedPlacement, PlacementPolicy, UnderDir};
 use netsim::ids::NodeId;
 use simcore::prelude::*;
@@ -346,7 +346,8 @@ impl<U: FileSystem> CofsFs<U> {
         t: simcore::time::SimTime,
     ) -> simcore::time::SimTime {
         self.counters.bump("mds_rpcs");
-        self.mds.rpc(&self.cfg, &self.net, node, shard, ops, t)
+        self.mds
+            .serve(&self.cfg, &self.net, node, Request::Single(shard, ops), t)
     }
 
     /// Feeds one operation on `path` into the elastic policy's
@@ -432,9 +433,8 @@ impl<U: FileSystem> CofsFs<U> {
             // commit itself is atomic in the namespace either way).
             self.counters.bump("mds_rpcs");
             self.counters.bump("mds_two_phase");
-            Ok(self
-                .mds
-                .rpc_cross(&self.cfg, &self.net, node, (sa, sb), ops, t))
+            let req = Request::TwoPhase((sa, sb), ops);
+            Ok(self.mds.serve(&self.cfg, &self.net, node, req, t))
         }
     }
 
@@ -478,7 +478,7 @@ impl<U: FileSystem> CofsFs<U> {
     /// operation actually read, so short-circuiting mutations (pure
     /// size publication) advertise nothing — which lets the shard
     /// price the whole batch by its deduplicated read set
-    /// ([`crate::mds_cluster::MdsCluster::rpc_batch`]).
+    /// ([`crate::mds_cluster::MdsCluster::serve`]).
     fn rpc_write(
         &mut self,
         node: NodeId,
@@ -534,9 +534,8 @@ impl<U: FileSystem> CofsFs<U> {
                     return Err(eio);
                 }
             };
-            let done = self
-                .mds
-                .rpc_batch(&self.cfg, &self.net, node, b.shard, &b.ops, t);
+            let req = Request::Batch(b.shard, &b.ops);
+            let done = self.mds.serve(&self.cfg, &self.net, node, req, t);
             self.batch.record_completion(node, done);
         }
         Ok(())
@@ -825,6 +824,27 @@ impl<U: FileSystem> CofsFs<U> {
         Ok((under.value, under.end))
     }
 
+    /// Performs the deferred underlying open of every lazy handle on
+    /// the file at `mapping`, before that file is removed: the
+    /// underlying filesystem keeps open files alive past their last
+    /// name, so those handles keep working until closed.
+    fn open_lazy_handles(
+        &mut self,
+        ctx: &OpCtx,
+        mapping: &VPath,
+        mut t: simcore::time::SimTime,
+    ) -> Result<simcore::time::SimTime, FsError> {
+        while let Some(&fh) = self
+            .handles
+            .iter()
+            .find(|(_, h)| h.under_fh.is_none() && h.mapping.as_ref() == Some(mapping))
+            .map(|(fh, _)| fh)
+        {
+            t = self.materialize(ctx, FileHandle(fh), t)?.1;
+        }
+        Ok(t)
+    }
+
     fn handle(&self, fh: FileHandle, op: &'static str) -> Result<&CHandle, FsError> {
         self.handles
             .get(&fh.0)
@@ -880,24 +900,30 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         self.counters.bump("op_create");
         let t = self.fuse(ctx);
         let t = self.fault_preflight(ctx.node, "create", path, t)?;
-        // Placement decides where the bits will really live.
         let name = path
             .file_name()
             .ok_or_else(|| FsError::new(Errno::EINVAL, "create", path.as_str()))?;
-        let dir = self
-            .placement
-            .place(ctx.node, ctx.pid, path.parent_str(), name);
-        let mapping = dir.file_path(self.placement.root(), self.next_under_name);
-        self.next_under_name += 1;
         // Register in the metadata service (validates permissions and
-        // uniqueness in the *virtual* namespace).
+        // uniqueness in the *virtual* namespace). Only a create that
+        // passes is placed: placement decides where the bits will
+        // really live, and names them.
+        let mut placed = None;
         let (vino, ops) = self.mds.namespace_mut().create(
             Self::cred(ctx),
             path,
             mode,
-            mapping.clone(),
+            || {
+                let dir = self
+                    .placement
+                    .place(ctx.node, ctx.pid, path.parent_str(), name);
+                let mapping = dir.file_path(self.placement.root(), self.next_under_name);
+                self.next_under_name += 1;
+                placed = Some((dir, mapping.clone()));
+                mapping
+            },
             ctx.now,
         )?;
+        let (dir, mapping) = placed.expect("a successful create is placed");
         let mut t = self.rpc_write(ctx.node, path, ops, t)?;
         // Other clients caching the parent's listing (or its attrs)
         // must give their leases back before the create is done, and
@@ -1110,6 +1136,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         t = self.recall(ctx.node, keys, t);
         if let Some(mapping) = gone {
             // Last link went away: remove the real bits.
+            t = self.open_lazy_handles(ctx, &mapping, t)?;
             let dctx = Self::daemon_ctx(ctx, t);
             t = self.under.unlink(&dctx, &mapping)?.end;
             self.counters.bump("under_unlinks");
@@ -1159,6 +1186,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             t = self.recall(ctx.node, || keys, t);
         }
         if let Some(mapping) = doomed {
+            t = self.open_lazy_handles(ctx, &mapping, t)?;
             let dctx = Self::daemon_ctx(ctx, t);
             t = self.under.unlink(&dctx, &mapping)?.end;
             self.counters.bump("under_unlinks");
@@ -1430,6 +1458,45 @@ mod tests {
         assert_eq!(fs.under().inode_count(), under_inodes - 1);
         assert_eq!(fs.under().open_handles(), 0);
         assert!(fs.stat(&ctx, &vpath("/f")).unwrap_err().is(Errno::ENOENT));
+    }
+
+    #[test]
+    fn lazy_handle_survives_unlink() {
+        let mut fs = new_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.close(&ctx, fh).unwrap();
+        // Opened without I/O: no underlying open has happened yet.
+        let fh = fs.open(&ctx, &vpath("/f"), OpenFlags::RDWR).unwrap().value;
+        fs.unlink(&ctx, &vpath("/f")).unwrap();
+        assert_eq!(fs.write(&ctx, fh, 0, 10).unwrap().value, 10);
+        assert_eq!(fs.read(&ctx, fh, 0, 20).unwrap().value, 10);
+        fs.close(&ctx, fh).unwrap();
+        assert_eq!(fs.under().open_handles(), 0);
+    }
+
+    #[test]
+    fn lazy_handle_survives_rename_over() {
+        let mut fs = new_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        for p in ["/a", "/b"] {
+            let fh = fs
+                .create(&ctx, &vpath(p), Mode::file_default())
+                .unwrap()
+                .value;
+            fs.close(&ctx, fh).unwrap();
+        }
+        let victim = fs.open(&ctx, &vpath("/b"), OpenFlags::RDWR).unwrap().value;
+        fs.rename(&ctx, &vpath("/a"), &vpath("/b")).unwrap();
+        assert_eq!(fs.write(&ctx, victim, 0, 10).unwrap().value, 10);
+        assert_eq!(fs.read(&ctx, victim, 0, 20).unwrap().value, 10);
+        fs.close(&ctx, victim).unwrap();
+        // The write landed in the replaced file, not in the new /b.
+        assert_eq!(fs.stat(&ctx, &vpath("/b")).unwrap().value.size, 0);
+        assert_eq!(fs.under().open_handles(), 0);
     }
 
     #[test]

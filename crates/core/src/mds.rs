@@ -178,7 +178,7 @@ pub type RowKey = u64;
 /// which every other operation resolving through the same directories
 /// re-reads. A batch of creates into one directory resolves the same
 /// parent chain k times; carrying these keys lets the shard charge each
-/// distinct row once per batch ([`crate::mds_cluster::MdsCluster::rpc_batch`]).
+/// distinct row once per batch ([`crate::mds_cluster::MdsCluster::serve`]).
 ///
 /// Keys identify rows for *pricing*, not for semantics: the unified
 /// namespace is still consulted synchronously for every operation.
@@ -659,8 +659,10 @@ impl Mds {
         Ok((self.get(ino), ops))
     }
 
-    /// Creates a regular file mapped to `mapping` in the underlying
-    /// filesystem and returns its virtual inode number.
+    /// Creates a regular file and returns its virtual inode number.
+    /// `mapping` names the file's place in the underlying filesystem;
+    /// it runs only once the create has passed every check, so a
+    /// failed create places nothing.
     ///
     /// # Errors
     ///
@@ -670,7 +672,7 @@ impl Mds {
         cred: Cred,
         path: &VPath,
         mode: Mode,
-        mapping: VPath,
+        mapping: impl FnOnce() -> VPath,
         now: SimTime,
     ) -> Result<(u64, DbOps), FsError> {
         let mut ops = DbOps::default();
@@ -680,7 +682,7 @@ impl Mds {
             return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
         }
         ops.read(1);
-        let ino = self.new_inode(cred, FileType::Regular, mode, now, None, Some(mapping));
+        let ino = self.new_inode(cred, FileType::Regular, mode, now, None, Some(mapping()));
         self.dentries
             .insert(DentryRec {
                 parent: pino,
@@ -1160,7 +1162,7 @@ mod tests {
                 cred(),
                 &vpath("/f"),
                 Mode::file_default(),
-                vpath("/.u/f"),
+                || vpath("/.u/f"),
                 t(1),
             )
             .unwrap();
@@ -1180,7 +1182,7 @@ mod tests {
             cred(),
             &vpath("/f"),
             Mode::file_default(),
-            vpath("/.u/a"),
+            || vpath("/.u/a"),
             t(1),
         )
         .unwrap();
@@ -1189,7 +1191,7 @@ mod tests {
                 cred(),
                 &vpath("/f"),
                 Mode::file_default(),
-                vpath("/.u/b"),
+                || vpath("/.u/b"),
                 t(2),
             )
             .unwrap_err();
@@ -1217,7 +1219,7 @@ mod tests {
             cred(),
             &vpath("/f"),
             Mode::file_default(),
-            vpath("/.u/f"),
+            || vpath("/.u/f"),
             t(1),
         )
         .unwrap();
@@ -1239,7 +1241,7 @@ mod tests {
                 cred(),
                 &vpath(&format!("/d/{name}")),
                 Mode::file_default(),
-                vpath(&format!("/.u/{name}")),
+                || vpath(&format!("/.u/{name}")),
                 t(2),
             )
             .unwrap();
@@ -1264,7 +1266,7 @@ mod tests {
             cred(),
             &vpath("/d/tmp"),
             Mode::file_default(),
-            vpath("/.u/tmp"),
+            || vpath("/.u/tmp"),
             t(4),
         )
         .unwrap();
@@ -1299,7 +1301,7 @@ mod tests {
             cred(),
             &vpath("/a/f"),
             Mode::file_default(),
-            vpath("/.u/x"),
+            || vpath("/.u/x"),
             t(2),
         )
         .unwrap();
@@ -1333,7 +1335,7 @@ mod tests {
             cred(),
             &vpath("/d/f"),
             Mode::file_default(),
-            vpath("/.u/f"),
+            || vpath("/.u/f"),
             t(2),
         )
         .unwrap();
@@ -1362,7 +1364,7 @@ mod tests {
             cred(),
             &vpath("/real/f"),
             Mode::file_default(),
-            vpath("/.u/f"),
+            || vpath("/.u/f"),
             t(2),
         )
         .unwrap();
@@ -1403,7 +1405,7 @@ mod tests {
                 other,
                 &vpath("/priv/f"),
                 Mode::file_default(),
-                vpath("/.u/f"),
+                || vpath("/.u/f"),
                 t(2)
             )
             .unwrap_err()
@@ -1412,7 +1414,7 @@ mod tests {
             owner,
             &vpath("/priv/f"),
             Mode::new(0o600),
-            vpath("/.u/f"),
+            || vpath("/.u/f"),
             t(2),
         )
         .unwrap();
@@ -1425,7 +1427,7 @@ mod tests {
             owner,
             &vpath("/pub"),
             Mode::new(0o644),
-            vpath("/.u/p"),
+            || vpath("/.u/p"),
             t(3),
         )
         .unwrap();
@@ -1447,7 +1449,7 @@ mod tests {
                 cred(),
                 &vpath("/f"),
                 Mode::file_default(),
-                vpath("/.u/f"),
+                || vpath("/.u/f"),
                 t(1),
             )
             .unwrap();
@@ -1474,7 +1476,7 @@ mod tests {
                 cred(),
                 &vpath("/a/b/f"),
                 Mode::file_default(),
-                vpath("/.u/f"),
+                || vpath("/.u/f"),
                 t(2),
             )
             .unwrap();
@@ -1521,7 +1523,7 @@ mod tests {
                 cred(),
                 &vpath("/a/f"),
                 Mode::file_default(),
-                vpath("/.u/f"),
+                || vpath("/.u/f"),
                 t(2),
             )
             .unwrap();
@@ -1561,7 +1563,7 @@ mod tests {
             cred(),
             &vpath("/f"),
             Mode::file_default(),
-            vpath("/.u/f"),
+            || vpath("/.u/f"),
             t(1),
         )
         .unwrap();

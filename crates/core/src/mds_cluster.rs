@@ -20,8 +20,20 @@
 //! link, and commit — strictly more expensive than the single-shard
 //! path, but still atomic in outcome.
 //!
+//! One pricing path: [`MdsCluster::serve`] prices every request as a
+//! list of per-shard *legs*, each a shard and the [`BatchedOp`]s it
+//! serves. A single RPC is one leg holding one opaque op, a daemon
+//! batch is one leg holding its ops, and a cross-shard operation is two
+//! legs (a prepare on each shard, then a commit phase). Every leg runs
+//! through one per-shard helper, so the request kinds differ in exactly
+//! four places: only a single read takes the read-priority lane, only
+//! a batch may journal under write-behind, only a batch counts in
+//! [`ShardUsage::batches`], and only a two-leg request counts in
+//! [`ShardUsage::two_phase`] and runs the commit phase. Crash recovery
+//! and elastic migration price their own shard work.
+//!
 //! Write-behind journal: each shard keeps one log of acked mutation
-//! batches, appended once per batch by [`MdsCluster::rpc_batch`]. Its
+//! batches, appended once per batch by [`MdsCluster::serve`]. Its
 //! two consumers each keep a per-entry view: the primary's deferred
 //! apply (read by the durability clamp, cold-restart replay and
 //! [`MdsCluster::apply_horizon`]) and, in standby mode with a fault
@@ -264,7 +276,7 @@ pub struct ShardUsage {
     /// traffic of the client-side metadata cache; zero with the cache
     /// off).
     pub recalls: u64,
-    /// Batch RPCs served ([`MdsCluster::rpc_batch`]; each covers one
+    /// Batch RPCs served ([`Request::Batch`]; each covers one
     /// or more of the `rpcs` logical operations and group-commits their
     /// writes). Zero with batching off.
     pub batches: u64,
@@ -301,10 +313,10 @@ pub struct ShardUsage {
 }
 
 /// One acked batch in a shard's write-behind journal, appended by
-/// [`MdsCluster::rpc_batch`]. Ordered by ack time by construction
-/// (acks come off one CPU queue). The log has two consumers, each
-/// with its own per-entry view (see the module docs): the primary's
-/// deferred apply and the hot standby's ship.
+/// [`MdsCluster::serve`] for a [`Request::Batch`]. Ordered by ack time
+/// by construction (acks come off one CPU queue). The log has two
+/// consumers, each with its own per-entry view (see the module docs):
+/// the primary's deferred apply and the hot standby's ship.
 #[derive(Debug, Clone)]
 struct JournalEntry {
     /// When the batch was acked (journal append completed).
@@ -516,15 +528,113 @@ impl Shard {
         self.apply_from = 0;
     }
 
-    /// Service demand of one request on this shard, advancing the
-    /// shard's commit log for the write portion.
-    fn service(&mut self, cfg: &CofsConfig, ops: DbOps) -> SimDuration {
-        let mut service = cfg.mds_service + self.tracker.query_cost_dedup(&cfg.db, ops.reads, 0);
-        if ops.writes > 0 {
-            service += self.tracker.txn_cost(&cfg.db, ops.writes);
+    /// Serves one leg of `req` on this shard: `ops` arriving at
+    /// `arrive`. Returns when the leg's reply leaves the shard.
+    ///
+    /// Every op pays its row reads, less the rows an earlier op of the
+    /// leg already resolved when [`crate::batch::BatchConfig::memoize_reads`]
+    /// is on; the leg pays [`CofsConfig::mds_service`] once. The writes
+    /// then either group-commit on the ack path, or, for a batch under
+    /// write-behind, are acked at one journal append and applied right
+    /// behind it (see [`MdsCluster::serve`]).
+    fn serve_leg(
+        &mut self,
+        cfg: &CofsConfig,
+        req: &Request<'_>,
+        ops: &[BatchedOp],
+        arrive: SimTime,
+        ship: bool,
+    ) -> SimTime {
+        assert!(!ops.is_empty(), "a request leg carries at least one op");
+        let batch = matches!(req, Request::Batch(..));
+        self.rpcs += ops.len() as u64;
+        self.batches += u64::from(batch);
+        self.two_phase += u64::from(matches!(req, Request::TwoPhase(..)));
+        let writes: u64 = ops.iter().map(|o| o.db.writes).sum();
+        let journal = batch && cfg.write_behind.enabled && writes > 0;
+        let arrive = if journal {
+            self.durability_clamp(&cfg.write_behind, arrive, ops.len() as u64)
+        } else {
+            arrive
+        };
+        let mut seen: HashSet<RowKey> = HashSet::new();
+        let mut service = cfg.mds_service;
+        for o in ops {
+            let memoized = if cfg.batch.memoize_reads {
+                o.read_set
+                    .keys()
+                    .iter()
+                    .filter(|&&k| !seen.insert(k))
+                    .count() as u64
+            } else {
+                0
+            };
+            service += self.tracker.query_cost_dedup(&cfg.db, o.db.reads, memoized);
         }
-        service
+        if journal {
+            // Ack once the ops are journaled; apply the coalesced rows
+            // right behind the ack on the same CPU.
+            service += self.tracker.journal_append_cost(&cfg.db, writes);
+            let acked = self.cpu.acquire(arrive, service).end;
+            let cw = coalesce_writes(ops);
+            self.rows_coalesced += cw.rows_coalesced;
+            let rows: u64 = cw.writes_per_op.iter().sum();
+            let writers = cw.writes_per_op.iter().filter(|&&w| w > 0).count() as u64;
+            let apply_done = if writers == 0 {
+                acked
+            } else {
+                let apply = self.tracker.group_txn_cost(&cfg.db, rows, writers);
+                self.cpu.acquire(acked, apply).end
+            };
+            self.apply_lag = self.apply_lag.max(apply_done - acked);
+            // The append also crosses the inter-shard link and is
+            // re-appended on the standby — entirely off the ack path,
+            // so the client-visible times above are untouched (the
+            // standby-off pin). What the ship time buys is the
+            // replication-lag bound: a crash before it must replay this
+            // batch onto the promoted standby.
+            let shipped =
+                ship.then(|| acked + cfg.cross_shard_rtt / 2 + cfg.db.standby_append_cost(writes));
+            self.journal.push(JournalEntry {
+                acked,
+                applied: Some(apply_done),
+                shipped,
+                ops: ops.len() as u64,
+                rows,
+            });
+            return acked;
+        }
+        if writes > 0 {
+            let writers = ops.iter().filter(|o| o.db.writes > 0).count() as u64;
+            service += self.tracker.group_txn_cost(&cfg.db, writes, writers);
+        }
+        if cfg.read_priority && writes == 0 && matches!(req, Request::Single(..)) {
+            self.cpu.acquire_priority(arrive, service).end
+        } else {
+            self.cpu.acquire(arrive, service).end
+        }
     }
+}
+
+/// A metadata request, as the per-shard *legs* [`MdsCluster::serve`]
+/// prices: each leg is a shard and the [`BatchedOp`]s it serves. Single
+/// and two-phase legs each hold one [`BatchedOp::opaque`] op.
+///
+/// The kind changes the pricing in exactly four ways: only a
+/// [`Request::Single`] read may take the priority lane, only a
+/// [`Request::Batch`] may journal under write-behind and counts in
+/// [`ShardUsage::batches`], and only a [`Request::TwoPhase`] counts in
+/// [`ShardUsage::two_phase`] and runs a commit phase.
+#[derive(Debug, Clone, Copy)]
+pub enum Request<'a> {
+    /// One synchronous RPC: one leg holding one op.
+    Single(ShardId, DbOps),
+    /// A daemon batch: one leg holding its ops, coalesced into one
+    /// round trip.
+    Batch(ShardId, &'a [BatchedOp]),
+    /// A cross-shard operation on `(coordinator, participant)`: two
+    /// legs, the coordinator holding the larger half of the split ops.
+    TwoPhase((ShardId, ShardId), DbOps),
 }
 
 /// N independent metadata shards behind a routing policy.
@@ -534,7 +644,7 @@ impl Shard {
 /// ```
 /// use cofs::config::{CofsConfig, MdsNetwork};
 /// use cofs::mds::DbOps;
-/// use cofs::mds_cluster::{HashByParent, MdsCluster};
+/// use cofs::mds_cluster::{HashByParent, MdsCluster, Request};
 /// use netsim::ids::NodeId;
 /// use simcore::time::{SimDuration, SimTime};
 /// use vfs::path::vpath;
@@ -543,14 +653,8 @@ impl Shard {
 /// let cfg = CofsConfig::default();
 /// let net = MdsNetwork::uniform(SimDuration::from_micros(250));
 /// let shard = cluster.route(&vpath("/d/f"));
-/// let done = cluster.rpc(
-///     &cfg,
-///     &net,
-///     NodeId(0),
-///     shard,
-///     DbOps { reads: 3, writes: 2 },
-///     SimTime::ZERO,
-/// );
+/// let req = Request::Single(shard, DbOps { reads: 3, writes: 2 });
+/// let done = cluster.serve(&cfg, &net, NodeId(0), req, SimTime::ZERO);
 /// assert!(done > SimTime::ZERO);
 /// ```
 #[derive(Debug)]
@@ -616,8 +720,7 @@ impl MdsCluster {
     }
 
     /// Mutable access to the logical namespace — callers perform the
-    /// operation here, then charge its [`DbOps`] via [`Self::rpc`] or
-    /// [`Self::rpc_cross`].
+    /// operation here, then charge its [`DbOps`] via [`Self::serve`].
     pub fn namespace_mut(&mut self) -> &mut Mds {
         &mut self.namespace
     }
@@ -654,248 +757,111 @@ impl MdsCluster {
         s
     }
 
-    /// Charges one single-shard metadata RPC: session establishment on
-    /// first contact, network round trip to the shard's host, and
-    /// queueing at the shard's CPU for the database work performed.
-    /// Returns when the response reaches the client.
+    /// Prices one metadata request and returns when its response
+    /// reaches the client. The request is served as its legs (see
+    /// [`Request`]), in four steps:
     ///
-    /// With [`CofsConfig::read_priority`] on, pure reads (`writes ==
-    /// 0`) take the shard CPU's priority lane: they bypass queued —
-    /// but never in-service — work, so a synchronous `stat` no longer
-    /// waits out multi-op batch lumps ahead of it in the queue. Off by
-    /// default; with it off every request takes the FIFO lane, bit for
-    /// bit the calibrated discipline.
-    pub fn rpc(
+    /// 1. Session establishment on first contact with each leg's shard,
+    ///    the periodic lease sweep, and the trip to leg 0's host.
+    /// 2. Each leg in order on its shard's CPU. Leg `i > 0` arrives
+    ///    `cross_shard_rtt / 2` after leg 0, and its vote takes as long
+    ///    to come back. A leg pays [`CofsConfig::mds_service`] once and
+    ///    each op's row reads, deduplicated across the leg's ops when
+    ///    [`crate::batch::BatchConfig::memoize_reads`] is on (keyless
+    ///    reads are always charged). Its writes are folded into one
+    ///    group commit ([`DbCostTracker::group_txn_cost`]), so a single
+    ///    op prices exactly like its own transaction.
+    /// 3. For two legs, the commit phase: once every vote is in, each
+    ///    shard spends `mds_service + db.commit` on the decision, with
+    ///    the same hops as step 2.
+    /// 4. The reply, half the client's round trip.
+    ///
+    /// Lane: with [`CofsConfig::read_priority`] on, a
+    /// [`Request::Single`] with no writes takes the shard CPU's
+    /// priority lane. It bypasses queued — but never in-service — work,
+    /// so a synchronous `stat` does not wait out batch lumps ahead of
+    /// it. Batches and both two-phase legs always take the FIFO lane.
+    ///
+    /// Journal: with [`CofsConfig::write_behind`] on, a
+    /// [`Request::Batch`] carrying writes is acked at one sequential
+    /// journal append ([`DbCostTracker::journal_append_cost`]). Its
+    /// rows are applied right behind the ack as deferred shard-CPU
+    /// work: one group commit over the batch's coalesced write set
+    /// ([`crate::batch::coalesce_writes`]). Later requests queue behind
+    /// the apply, but the batch does not wait for its own rows.
+    /// Admission is bounded by the durability window: a batch that
+    /// would push acked-but-unapplied work past
+    /// [`WriteBehindConfig::max_unapplied_ops`], or age the oldest
+    /// unapplied batch past [`WriteBehindConfig::max_unapplied_window`],
+    /// waits for older applies. Outcomes always come from the unified
+    /// namespace, so read-your-writes stays exact. Single requests
+    /// (a `readdir` writes its atime) always commit synchronously.
+    ///
+    /// Atomicity of a two-phase request's *outcome* is inherited from
+    /// the unified namespace; what it prices is distributed agreement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch is empty or a two-phase request names one
+    /// shard twice.
+    pub fn serve(
         &mut self,
         cfg: &CofsConfig,
         net: &MdsNetwork,
         node: NodeId,
-        shard: ShardId,
-        ops: DbOps,
+        req: Request<'_>,
         t: SimTime,
     ) -> SimTime {
-        let (arrive, rtt) = self.request_prologue(cfg, net, node, &[shard], t);
-        let s = &mut self.shards[shard.0];
-        s.rpcs += 1;
-        let service = s.service(cfg, ops);
-        let done = if cfg.read_priority && ops.writes == 0 {
-            s.cpu.acquire_priority(arrive, service).end
-        } else {
-            s.cpu.acquire(arrive, service).end
+        // Lay the request out as legs. The opaque ops of single and
+        // two-phase legs live on this frame, so no request allocates.
+        let (coordinator, participant);
+        let (legs, n) = match req {
+            Request::Single(shard, ops) => {
+                coordinator = [BatchedOp::opaque(ops)];
+                ([(shard, &coordinator[..]); 2], 1)
+            }
+            Request::Batch(shard, ops) => ([(shard, ops); 2], 1),
+            Request::TwoPhase((a, b), ops) => {
+                assert_ne!(a, b, "a two-phase request needs two distinct shards");
+                // The coordinator keeps the larger half of the row work.
+                let half = |up: u64| DbOps {
+                    reads: (ops.reads + up) / 2,
+                    writes: (ops.writes + up) / 2,
+                };
+                coordinator = [BatchedOp::opaque(half(1))];
+                participant = [BatchedOp::opaque(half(0))];
+                ([(a, &coordinator[..]), (b, &participant[..])], 2)
+            }
         };
-        done + rtt / 2
-    }
-
-    /// The shared front half of every request: session establishment
-    /// on first contact with each of `shards`, the periodic lease
-    /// sweep, and the request's travel to the first of them. Returns
-    /// the arrival time there and the round trip it will pay coming
-    /// back, so [`Self::rpc`], [`Self::rpc_batch`] and
-    /// [`Self::rpc_cross`] can only ever differ in how they price the
-    /// *service*.
-    fn request_prologue(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shards: &[ShardId],
-        t: SimTime,
-    ) -> (SimTime, SimDuration) {
+        let legs = &legs[..n];
+        // Leg `i > 0` is one inter-shard hop away from leg 0.
+        let hop = |i: usize| cfg.cross_shard_rtt / 2 * u64::from(i > 0);
         let mut t = t;
-        for s in shards {
-            if self.sessions.insert((node, s.0)) {
+        for &(shard, _) in legs {
+            if self.sessions.insert((node, shard.0)) {
                 t += cfg.session_cost;
             }
         }
         self.maybe_sweep_leases(cfg, t);
-        let rtt = net.shard_rtt(node, shards[0]);
-        (t + rtt / 2, rtt)
-    }
-
-    /// Charges one *batch* RPC: `ops` same-shard operations coalesced
-    /// by the client's daemon into a single round trip. The per-request
-    /// CPU overhead is paid once for the whole batch, each operation's
-    /// row reads are charged individually, and every operation's writes
-    /// are folded into one group-commit transaction
-    /// ([`DbCostTracker::group_txn_cost`]) — `txn_cost(writes = k)`
-    /// instead of `k` single-write transactions. A batch of one is
-    /// bit-for-bit [`Self::rpc`].
-    ///
-    /// With [`crate::batch::BatchConfig::memoize_reads`] on, the batch
-    /// is priced by its *deduplicated* read set: each distinct row key
-    /// in the ops' [`crate::mds::ReadSet`]s is charged once per batch
-    /// ([`DbCostTracker::query_cost_dedup`]) — a batch of creates into
-    /// one directory resolves the shared parent chain once instead of
-    /// k times. Keyless reads (op-private probes) are always charged.
-    /// Off by default, and a batch of one memoizes nothing (its keys
-    /// are distinct by construction), so the calibrated pricing is
-    /// reproduced bit-for-bit in both pinned regimes.
-    ///
-    /// With [`CofsConfig::write_behind`] enabled, a batch carrying
-    /// writes is *acked at journal append*: its ack-path service swaps
-    /// the group commit for one sequential journal append
-    /// ([`DbCostTracker::journal_append_cost`]), and the rows are
-    /// applied immediately after the ack as deferred shard-CPU work —
-    /// one group commit over the batch's *coalesced* write set
-    /// ([`crate::batch::coalesce_writes`]: same-parent sibling rows
-    /// fold into one application per batch). Deferred applies still
-    /// consume shard CPU (later batches queue behind them), but no
-    /// batch waits for its own rows. Admission is bounded by the
-    /// durability window — a batch that would push acked-but-unapplied
-    /// work past [`WriteBehindConfig::max_unapplied_ops`] or age the
-    /// oldest unapplied batch past
-    /// [`WriteBehindConfig::max_unapplied_window`] waits for older
-    /// applies, exactly like `pipeline_depth` slot backpressure.
-    /// Read-your-writes stays exact for free: outcomes always come from
-    /// the unified namespace, so a read hitting a not-yet-applied row
-    /// is served from the journal at unchanged cost. Off by default,
-    /// and the off path is textually the calibrated path — bit-for-bit
-    /// pinned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty.
-    pub fn rpc_batch(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        ops: &[BatchedOp],
-        t: SimTime,
-    ) -> SimTime {
-        assert!(!ops.is_empty(), "a batch RPC carries at least one op");
-        let (arrive, rtt) = self.request_prologue(cfg, net, node, &[shard], t);
+        let rtt = net.shard_rtt(node, legs[0].0);
+        let arrive = t + rtt / 2;
         // Ship bookkeeping only matters when a crash could consult it;
         // gating on an armed plan keeps fault-free runs allocation-flat.
-        let ship_to_standby = cfg.standby.enabled && self.faults.is_some();
-        let s = &mut self.shards[shard.0];
-        s.rpcs += ops.len() as u64;
-        s.batches += 1;
-        let total_writes: u64 = ops.iter().map(|o| o.db.writes).sum();
-        let write_behind = cfg.write_behind.enabled && total_writes > 0;
-        let arrive = if write_behind {
-            s.durability_clamp(&cfg.write_behind, arrive, ops.len() as u64)
-        } else {
-            arrive
-        };
-        let memoize = cfg.batch.memoize_reads;
-        let mut seen: HashSet<RowKey> = HashSet::new();
-        let mut service = cfg.mds_service;
-        for o in ops {
-            let memoized = if memoize {
-                o.read_set
-                    .keys()
-                    .iter()
-                    .filter(|&&k| !seen.insert(k))
-                    .count() as u64
-            } else {
-                0
-            };
-            service += s.tracker.query_cost_dedup(&cfg.db, o.db.reads, memoized);
+        let ship = cfg.standby.enabled && self.faults.is_some();
+        let mut done = arrive;
+        for (i, &(shard, ops)) in legs.iter().enumerate() {
+            let s = &mut self.shards[shard.0];
+            done = done.max(s.serve_leg(cfg, &req, ops, arrive + hop(i), ship) + hop(i));
         }
-        if write_behind {
-            // Ack once the ops are journaled; apply the coalesced rows
-            // right behind the ack on the same CPU.
-            service += s.tracker.journal_append_cost(&cfg.db, total_writes);
-            let acked = s.cpu.acquire(arrive, service).end;
-            let cw = coalesce_writes(ops);
-            s.rows_coalesced += cw.rows_coalesced;
-            let applied: Vec<u64> = cw.writes_per_op.into_iter().filter(|&w| w > 0).collect();
-            let apply_done = if applied.is_empty() {
-                acked
-            } else {
-                let apply_service = s.tracker.group_txn_cost(&cfg.db, &applied);
-                s.cpu.acquire(acked, apply_service).end
-            };
-            s.apply_lag = s.apply_lag.max(apply_done - acked);
-            // The append also crosses the inter-shard link and is
-            // re-appended on the standby — entirely off the ack path,
-            // so the client-visible times above are untouched (the
-            // standby-off pin). What the ship time buys is the
-            // replication-lag bound: a crash before it must replay this
-            // batch onto the promoted standby.
-            let shipped = ship_to_standby.then(|| {
-                acked + cfg.cross_shard_rtt / 2 + cfg.db.standby_append_cost(total_writes)
-            });
-            s.journal.push(JournalEntry {
-                acked,
-                applied: Some(apply_done),
-                shipped,
-                ops: ops.len() as u64,
-                rows: applied.iter().sum(),
-            });
-            return acked + rtt / 2;
+        if n > 1 {
+            let voted = done;
+            for (i, &(shard, _)) in legs.iter().enumerate() {
+                let cpu = &mut self.shards[shard.0].cpu;
+                let commit = cpu.acquire(voted + hop(i), cfg.mds_service + cfg.db.commit);
+                done = done.max(commit.end + hop(i));
+            }
         }
-        let writes: Vec<u64> = ops.iter().map(|o| o.db.writes).filter(|&w| w > 0).collect();
-        if !writes.is_empty() {
-            service += s.tracker.group_txn_cost(&cfg.db, &writes);
-        }
-        let done = s.cpu.acquire(arrive, service).end;
         done + rtt / 2
-    }
-
-    /// Charges a cross-shard operation spanning `shards = (a, b)` as a
-    /// two-phase commit with `a` as coordinator: both shards prepare
-    /// their half of the work in parallel, `b`'s vote crosses the
-    /// inter-shard link, then both commit and the coordinator replies.
-    /// Atomicity of the *outcome* is inherited from the unified
-    /// namespace; what this models is the price of distributed
-    /// agreement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` — same-shard operations take [`Self::rpc`].
-    pub fn rpc_cross(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shards: (ShardId, ShardId),
-        ops: DbOps,
-        t: SimTime,
-    ) -> SimTime {
-        let (a, b) = shards;
-        assert_ne!(a, b, "cross-shard rpc needs two distinct shards");
-        let (arrive_a, rtt) = self.request_prologue(cfg, net, node, &[a, b], t);
-        let cross = cfg.cross_shard_rtt;
-        // Split the row work between the participants; the coordinator
-        // keeps the larger half.
-        let b_ops = DbOps {
-            reads: ops.reads / 2,
-            writes: ops.writes / 2,
-        };
-        let a_ops = DbOps {
-            reads: ops.reads - b_ops.reads,
-            writes: ops.writes - b_ops.writes,
-        };
-        let arrive_b = arrive_a + cross / 2;
-        // Phase 1: prepare on both shards.
-        let prep_a = {
-            let s = &mut self.shards[a.0];
-            s.rpcs += 1;
-            s.two_phase += 1;
-            let service = s.service(cfg, a_ops);
-            s.cpu.acquire(arrive_a, service).end
-        };
-        let prep_b = {
-            let s = &mut self.shards[b.0];
-            s.rpcs += 1;
-            s.two_phase += 1;
-            let service = s.service(cfg, b_ops);
-            s.cpu.acquire(arrive_b, service).end
-        };
-        // b's vote travels back to the coordinator.
-        let voted = prep_a.max(prep_b + cross / 2);
-        // Phase 2: both shards process the commit decision.
-        let commit_service = cfg.mds_service + cfg.db.commit;
-        let commit_a = self.shards[a.0].cpu.acquire(voted, commit_service).end;
-        let commit_b = self.shards[b.0]
-            .cpu
-            .acquire(voted + cross / 2, commit_service)
-            .end;
-        // The coordinator replies once it has committed and heard b's ack.
-        commit_a.max(commit_b + cross / 2) + rtt / 2
     }
 
     // ---- fault injection ---------------------------------------------
@@ -1124,7 +1090,7 @@ impl MdsCluster {
         // primary's durable journal). Later acks keep their schedule
         // (see the module docs).
         let (mut acked_at_crash, mut covered_ops, mut replay_ops) = (0u64, 0u64, 0u64);
-        let mut replay_rows = Vec::new();
+        let (mut replay_rows, mut replay_batches) = (0u64, 0u64);
         for e in s.journal.iter().filter(|e| e.acked <= at) {
             let Some(done) = (if promote { e.shipped } else { e.applied }) else {
                 continue;
@@ -1132,9 +1098,8 @@ impl MdsCluster {
             acked_at_crash += e.ops;
             if done > at {
                 replay_ops += e.ops;
-                if e.rows > 0 {
-                    replay_rows.push(e.rows);
-                }
+                replay_rows += e.rows;
+                replay_batches += u64::from(e.rows > 0);
             } else {
                 covered_ops += e.ops;
             }
@@ -1143,8 +1108,10 @@ impl MdsCluster {
         // journal tail, re-apply the replay set as one group commit.
         // Only then does the shard resume service.
         let mut service = cfg.mds_service + s.tracker.query_cost_dedup(&cfg.db, replay_ops, 0);
-        if !replay_rows.is_empty() {
-            service += s.tracker.group_txn_cost(&cfg.db, &replay_rows);
+        if replay_batches > 0 {
+            service += s
+                .tracker
+                .group_txn_cost(&cfg.db, replay_rows, replay_batches);
         }
         let resume_at = s.cpu.acquire(restart_at, service).end;
         s.recovery_busy += service;
@@ -1155,7 +1122,7 @@ impl MdsCluster {
         s.lost_acked_ops += acked_at_crash - covered_ops - replay_ops;
         if promote {
             s.promotions += 1;
-            s.lag_replayed_rows += replay_rows.iter().sum::<u64>();
+            s.lag_replayed_rows += replay_rows;
         }
         let mut max_lag = s.apply_lag;
         for e in s.journal.iter_mut().filter(|e| e.acked <= at) {
@@ -1211,11 +1178,11 @@ impl MdsCluster {
     }
 
     /// The one fault-admission check every request passes before
-    /// [`Self::rpc`], [`Self::rpc_batch`] or [`Self::rpc_cross`] prices
-    /// it. In order: advance the fault script to the send time `t`, let
-    /// a scripted message drop swallow the request (the client learns
-    /// of it only at `t + RetryConfig::timeout`), advance the script to
-    /// the predicted arrival, and ask the shard to accept. A refusal
+    /// [`Self::serve`] prices it. In order: advance the fault script to
+    /// the send time `t`, let a scripted message drop swallow the
+    /// request (the client learns of it only at
+    /// `t + RetryConfig::timeout`), advance the script to the predicted
+    /// arrival, and ask the shard to accept. A refusal
     /// carries the failed round trip and any server-supplied
     /// retry-after, and counts as a shard-side NACK; an admission grant
     /// consumed here is remembered, so the op it admits does not pay
@@ -1365,7 +1332,7 @@ impl MdsCluster {
                 s.migrations += 1;
                 let service = cfg.mds_service
                     + s.tracker.journal_append_cost(&cfg.db, tr.rows)
-                    + s.tracker.group_txn_cost(&cfg.db, &[tr.rows]);
+                    + s.tracker.group_txn_cost(&cfg.db, tr.rows, 1);
                 let _ = s.cpu.acquire(arrive, service);
             }
         }
@@ -1618,7 +1585,13 @@ mod tests {
             reads: 4,
             writes: 3,
         };
-        let got = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let got = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::ZERO,
+        );
         let mut cpu = FifoResource::new("legacy");
         let mut tracker = DbCostTracker::new();
         let t = SimTime::ZERO + c.session_cost;
@@ -1640,13 +1613,31 @@ mod tests {
             reads: 1,
             writes: 0,
         };
-        let first = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let first = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::ZERO,
+        );
         cluster.reset_time();
-        let second = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let second = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::ZERO,
+        );
         assert_eq!(first, second + c.session_cost);
         // A different shard is a different session.
         cluster.reset_time();
-        let other = cluster.rpc(&c, &n, NodeId(0), ShardId(1), ops, SimTime::ZERO);
+        let other = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(1), ops),
+            SimTime::ZERO,
+        );
         assert_eq!(other, first);
     }
 
@@ -1713,41 +1704,43 @@ mod tests {
         };
         let mut one = MdsCluster::new(Box::new(SingleShard));
         // Burn the session costs first so the comparison is steady-state.
-        one.rpc(
+        one.serve(
             &c,
             &n,
             NodeId(0),
-            ShardId(0),
-            DbOps::default(),
+            Request::Single(ShardId(0), DbOps::default()),
             SimTime::ZERO,
         );
         one.reset_time();
-        let single = one.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
-
-        let mut two = MdsCluster::new(Box::new(HashByParent::new(2)));
-        two.rpc(
+        let single = one.serve(
             &c,
             &n,
             NodeId(0),
-            ShardId(0),
-            DbOps::default(),
+            Request::Single(ShardId(0), ops),
             SimTime::ZERO,
         );
-        two.rpc(
+
+        let mut two = MdsCluster::new(Box::new(HashByParent::new(2)));
+        two.serve(
             &c,
             &n,
             NodeId(0),
-            ShardId(1),
-            DbOps::default(),
+            Request::Single(ShardId(0), DbOps::default()),
+            SimTime::ZERO,
+        );
+        two.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(1), DbOps::default()),
             SimTime::ZERO,
         );
         two.reset_time();
-        let cross = two.rpc_cross(
+        let cross = two.serve(
             &c,
             &n,
             NodeId(0),
-            (ShardId(0), ShardId(1)),
-            ops,
+            Request::TwoPhase((ShardId(0), ShardId(1)), ops),
             SimTime::ZERO,
         );
         assert!(
@@ -1813,8 +1806,14 @@ mod tests {
         let mut tb = SimTime::ZERO;
         for (reads, writes) in [(3u64, 2u64), (1, 0), (5, 4), (0, 1)] {
             let ops = DbOps { reads, writes };
-            tp = plain.rpc(&c, &n, NodeId(0), ShardId(1), ops, tp);
-            tb = batched.rpc_batch(&c, &n, NodeId(0), ShardId(1), &[BatchedOp::opaque(ops)], tb);
+            tp = plain.serve(&c, &n, NodeId(0), Request::Single(ShardId(1), ops), tp);
+            tb = batched.serve(
+                &c,
+                &n,
+                NodeId(0),
+                Request::Batch(ShardId(1), &[BatchedOp::opaque(ops)]),
+                tb,
+            );
             assert_eq!(tp, tb, "singleton batches must reprice nothing");
         }
         assert_eq!(plain.usage()[1].rpcs, batched.usage()[1].rpcs);
@@ -1835,16 +1834,15 @@ mod tests {
         let mut seq = MdsCluster::new(Box::new(SingleShard));
         let mut t = SimTime::ZERO;
         for _ in 0..k {
-            t = seq.rpc(&c, &n, NodeId(0), ShardId(0), ops, t);
+            t = seq.serve(&c, &n, NodeId(0), Request::Single(ShardId(0), ops), t);
         }
         // One k-op batch RPC.
         let mut grp = MdsCluster::new(Box::new(SingleShard));
-        let batched = grp.rpc_batch(
+        let batched = grp.serve(
             &c,
             &n,
             NodeId(0),
-            ShardId(0),
-            &vec![BatchedOp::opaque(ops); k],
+            Request::Batch(ShardId(0), &vec![BatchedOp::opaque(ops); k]),
             SimTime::ZERO,
         );
         assert!(
@@ -1885,8 +1883,20 @@ mod tests {
         let batch = vec![op; 4];
         let mut plain = MdsCluster::new(Box::new(SingleShard));
         let mut memo = MdsCluster::new(Box::new(SingleShard));
-        let t_plain = plain.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
-        let t_memo = memo.rpc_batch(&memo_cfg, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let t_plain = plain.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
+        let t_memo = memo.serve(
+            &memo_cfg,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         // Three repeat resolutions of the 2-row chain are absorbed.
         let saved = c.db.lookup * 2 * 3;
         assert_eq!(t_plain, t_memo + saved);
@@ -1898,15 +1908,20 @@ mod tests {
         // distinct by construction.
         let mut one_memo = MdsCluster::new(Box::new(SingleShard));
         let mut one_plain = MdsCluster::new(Box::new(SingleShard));
-        let a = one_memo.rpc_batch(
+        let a = one_memo.serve(
             &memo_cfg,
             &n,
             NodeId(0),
-            ShardId(0),
-            &batch[..1],
+            Request::Batch(ShardId(0), &batch[..1]),
             SimTime::ZERO,
         );
-        let b = one_plain.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch[..1], SimTime::ZERO);
+        let b = one_plain.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch[..1]),
+            SimTime::ZERO,
+        );
         assert_eq!(a, b);
         assert_eq!(one_memo.usage()[0].reads_memoized, 0);
     }
@@ -1939,7 +1954,13 @@ mod tests {
         let n = net();
         let batch: Vec<BatchedOp> = (0..4).map(|_| create_op(42)).collect();
         let mut wb = MdsCluster::new(Box::new(SingleShard));
-        let ack = wb.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let ack = wb.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         // Hand arithmetic: session + half RTT, then service = per-batch
         // overhead + 4 keyless 2-row reads + one journal append of the
         // 12-record write set. The group commit is NOT in the ack.
@@ -1965,7 +1986,13 @@ mod tests {
             batch: c.batch.clone(),
             ..cfg()
         };
-        let done = sync.rpc_batch(&base, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let done = sync.serve(
+            &base,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         assert!(ack < done, "{ack:?} vs {done:?}");
         assert_eq!(sync.usage()[0].journal_appends, 0);
         assert_eq!(sync.usage()[0].rows_coalesced, 0);
@@ -1989,8 +2016,20 @@ mod tests {
         ];
         let mut wb = MdsCluster::new(Box::new(SingleShard));
         let mut plain = MdsCluster::new(Box::new(SingleShard));
-        let a = wb.rpc_batch(&c, &n, NodeId(0), ShardId(0), &reads, SimTime::ZERO);
-        let b = plain.rpc_batch(&base, &n, NodeId(0), ShardId(0), &reads, SimTime::ZERO);
+        let a = wb.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &reads),
+            SimTime::ZERO,
+        );
+        let b = plain.serve(
+            &base,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &reads),
+            SimTime::ZERO,
+        );
         assert_eq!(a, b, "nothing to journal, nothing to defer");
         assert_eq!(wb.usage()[0].journal_appends, 0);
         assert_eq!(wb.apply_horizon(a), a);
@@ -2006,7 +2045,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut acks = Vec::new();
         for _ in 0..6 {
-            t = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, t);
+            t = cluster.serve(&c, &n, NodeId(0), Request::Batch(ShardId(0), &batch), t);
             acks.push(t);
             let acked_at = t - SimDuration::from_micros(125);
             assert!(
@@ -2041,7 +2080,7 @@ mod tests {
         let mut cluster = MdsCluster::new(Box::new(SingleShard));
         let mut t = SimTime::ZERO;
         for _ in 0..3 {
-            t = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, t);
+            t = cluster.serve(&c, &n, NodeId(0), Request::Batch(ShardId(0), &batch), t);
         }
         assert!(t > SimTime::ZERO);
     }
@@ -2068,11 +2107,29 @@ mod tests {
         let run = |cfg: &CofsConfig| {
             let mut cluster = MdsCluster::new(Box::new(SingleShard));
             // Two 16-op lumps from node 0: one in service, one queued.
-            cluster.rpc_batch(cfg, &n, NodeId(0), ShardId(0), &lump, SimTime::ZERO);
-            cluster.rpc_batch(cfg, &n, NodeId(0), ShardId(0), &lump, SimTime::ZERO);
+            cluster.serve(
+                cfg,
+                &n,
+                NodeId(0),
+                Request::Batch(ShardId(0), &lump),
+                SimTime::ZERO,
+            );
+            cluster.serve(
+                cfg,
+                &n,
+                NodeId(0),
+                Request::Batch(ShardId(0), &lump),
+                SimTime::ZERO,
+            );
             // Node 1's stat arrives while the first lump is in service.
             // (Session establishment shifts its arrival, not the queue.)
-            let done = cluster.rpc(cfg, &n, NodeId(1), ShardId(0), read, SimTime::ZERO);
+            let done = cluster.serve(
+                cfg,
+                &n,
+                NodeId(1),
+                Request::Single(ShardId(0), read),
+                SimTime::ZERO,
+            );
             (done, cluster.usage()[0].read_bypasses)
         };
         let (fifo_done, fifo_bypasses) = run(&fifo_cfg);
@@ -2105,8 +2162,8 @@ mod tests {
         let mut ta = SimTime::ZERO;
         let mut tb = SimTime::ZERO;
         for _ in 0..4 {
-            ta = a.rpc(&cfg(), &n, NodeId(0), ShardId(0), w, ta);
-            tb = b.rpc(&prio_cfg, &n, NodeId(0), ShardId(0), w, tb);
+            ta = a.serve(&cfg(), &n, NodeId(0), Request::Single(ShardId(0), w), ta);
+            tb = b.serve(&prio_cfg, &n, NodeId(0), Request::Single(ShardId(0), w), tb);
         }
         assert_eq!(ta, tb, "mutations always take the FIFO lane");
         assert_eq!(b.usage()[0].read_bypasses, 0);
@@ -2117,12 +2174,11 @@ mod tests {
     fn empty_batch_rpc_panics() {
         let c = cfg();
         let n = net();
-        MdsCluster::new(Box::new(SingleShard)).rpc_batch(
+        MdsCluster::new(Box::new(SingleShard)).serve(
             &c,
             &n,
             NodeId(0),
-            ShardId(0),
-            &[],
+            Request::Batch(ShardId(0), &[]),
             SimTime::ZERO,
         );
     }
@@ -2168,18 +2224,48 @@ mod tests {
             writes: 0,
         };
         // Before the interval lapses nothing is swept.
-        cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(5));
+        cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::from_secs(5),
+        );
         assert_eq!(cluster.lease_holder_count(), 50);
         // The first RPC past the interval prunes the lapsed grants.
-        cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(11));
+        cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::from_secs(11),
+        );
         assert_eq!(cluster.lease_holder_count(), 0);
         assert_eq!(cluster.leases_swept(), 50);
         // Sweeping is timing-neutral: the same RPC on a sweep-free
         // cluster completes at the identical virtual time.
         let mut quiet = MdsCluster::new(Box::new(SingleShard));
-        quiet.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(5));
-        let a = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(12));
-        let b = quiet.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(12));
+        quiet.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::from_secs(5),
+        );
+        let a = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::from_secs(12),
+        );
+        let b = quiet.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::from_secs(12),
+        );
         assert_eq!(a, b);
     }
 
@@ -2247,7 +2333,13 @@ mod tests {
             writes: 1,
         };
         for _ in 0..5 {
-            cluster.rpc(&c, &n, NodeId(0), ShardId(1), ops, SimTime::ZERO);
+            cluster.serve(
+                &c,
+                &n,
+                NodeId(0),
+                Request::Single(ShardId(1), ops),
+                SimTime::ZERO,
+            );
         }
         let usage = cluster.usage();
         assert_eq!(usage.len(), 2);
@@ -2259,7 +2351,7 @@ mod tests {
     }
 
     /// One single-shard request the way every caller issues it: the
-    /// admission check, then the unconditional `rpc` it guards.
+    /// admission check, then the unconditional `serve` it guards.
     fn checked_rpc(
         cluster: &mut MdsCluster,
         c: &CofsConfig,
@@ -2268,7 +2360,7 @@ mod tests {
         t: SimTime,
     ) -> Result<SimTime, Nack> {
         cluster.shard_available(c, n, NodeId(0), ShardId(0), t)?;
-        Ok(cluster.rpc(c, n, NodeId(0), ShardId(0), ops, t))
+        Ok(cluster.serve(c, n, NodeId(0), Request::Single(ShardId(0), ops), t))
     }
 
     #[test]
@@ -2284,7 +2376,13 @@ mod tests {
         assert!(!a.fault_active());
         let mut b = MdsCluster::new(Box::new(SingleShard));
         let ta = checked_rpc(&mut a, &c, &n, ops, SimTime::ZERO).unwrap();
-        let tb = b.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let tb = b.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
+            SimTime::ZERO,
+        );
         assert_eq!(ta, tb);
         let batch: Vec<BatchedOp> = vec![
             BatchedOp::opaque(DbOps {
@@ -2294,8 +2392,8 @@ mod tests {
             4
         ];
         assert!(a.shard_available(&c, &n, NodeId(0), ShardId(0), ta).is_ok());
-        let ba = a.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, ta);
-        let bb = b.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, tb);
+        let ba = a.serve(&c, &n, NodeId(0), Request::Batch(ShardId(0), &batch), ta);
+        let bb = b.serve(&c, &n, NodeId(0), Request::Batch(ShardId(0), &batch), tb);
         assert_eq!(ba, bb);
         assert!(a.shard_available(&c, &n, NodeId(0), ShardId(0), ba).is_ok());
         assert_eq!(a.fault_stats(), b.fault_stats());
@@ -2338,13 +2436,18 @@ mod tests {
         assert!(f.downtime >= SimDuration::from_millis(5));
         let mut quiet = MdsCluster::new(Box::new(SingleShard));
         let qc = cfg();
-        quiet.rpc(&qc, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
-        let quiet_after = quiet.rpc(
+        quiet.serve(
             &qc,
             &n,
             NodeId(0),
-            ShardId(0),
-            ops,
+            Request::Single(ShardId(0), ops),
+            SimTime::ZERO,
+        );
+        let quiet_after = quiet.serve(
+            &qc,
+            &n,
+            NodeId(0),
+            Request::Single(ShardId(0), ops),
             SimTime::from_millis(20),
         );
         assert_eq!(after, quiet_after + qc.session_cost);
@@ -2408,7 +2511,13 @@ mod tests {
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
         let mut cluster = MdsCluster::new(Box::new(SingleShard));
-        let ack = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let ack = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         let acked_server = ack - SimDuration::from_micros(125); // minus rtt/2
         let horizon = cluster.apply_horizon(SimTime::ZERO);
         assert!(horizon > acked_server, "apply must trail the ack");
@@ -2536,7 +2645,13 @@ mod tests {
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
         let mut probe = MdsCluster::new(Box::new(SingleShard));
-        let ack = probe.rpc_batch(c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let ack = probe.serve(
+            c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         let acked = ack - SimDuration::from_micros(125); // minus rtt/2
         let ship_done = acked + SimDuration::from_micros(125) + c.db.standby_append_cost(24);
         (acked, ship_done)
@@ -2558,7 +2673,13 @@ mod tests {
         let mut cluster = MdsCluster::new(Box::new(SingleShard));
         cluster.arm_faults(plan);
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
-        let ack = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let ack = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         assert_eq!(
             ack,
             acked + SimDuration::from_micros(125),
@@ -2605,7 +2726,13 @@ mod tests {
         let mut cluster = MdsCluster::new(Box::new(SingleShard));
         cluster.arm_faults(plan);
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
-        cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         assert!(cluster
             .shard_available(
                 &c,
@@ -2641,15 +2768,33 @@ mod tests {
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
         let mut probe = MdsCluster::new(Box::new(SingleShard));
-        probe.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        probe.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
         let a_applied = probe.apply_horizon(SimTime::ZERO);
         // A's ship lag is 10 ms plus the standby append.
         let crash_at = a_applied + SimDuration::from_millis(1);
         let plan = FaultPlan::default().crash(ShardId(0), crash_at, SimDuration::from_millis(10));
         let mut cluster = MdsCluster::new(Box::new(SingleShard));
         cluster.arm_faults(plan);
-        cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
-        let b_ack = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, crash_at);
+        cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            SimTime::ZERO,
+        );
+        let b_ack = cluster.serve(
+            &c,
+            &n,
+            NodeId(0),
+            Request::Batch(ShardId(0), &batch),
+            crash_at,
+        );
         assert!(b_ack > crash_at, "B is priced ahead of the crash");
         assert_eq!(
             cluster.unapplied_ops_at(a_applied),
@@ -2786,5 +2931,122 @@ mod tests {
         let per = restart + c.mds_service + c.db.lookup;
         assert_eq!(f.downtime, per * 3);
         assert_eq!(cluster.epoch(ShardId(0)), 4, "every flap fences");
+    }
+
+    /// Golden pricing pin: one fixed mixed sequence against one
+    /// two-shard cluster, covering every request kind and both lanes.
+    /// The figures were recorded before single, batched and two-phase
+    /// requests shared one pricing path, so any drift in the shared
+    /// arithmetic fails here.
+    #[test]
+    fn golden_mixed_sequence_prices_exactly() {
+        let n = net();
+        let prio = CofsConfig {
+            read_priority: true,
+            ..cfg()
+        };
+        let memo = CofsConfig {
+            batch: crate::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4)
+                .with_memoized_reads(),
+            ..prio.clone()
+        };
+        let wb = CofsConfig {
+            read_priority: true,
+            ..wb_cfg()
+        };
+        let (s0, s1) = (ShardId(0), ShardId(1));
+        let lump = vec![
+            BatchedOp::opaque(DbOps {
+                reads: 5,
+                writes: 2,
+            });
+            16
+        ];
+        // Four creates into one directory, sharing its 2-row chain.
+        let memo_batch = vec![
+            BatchedOp {
+                db: DbOps {
+                    reads: 5,
+                    writes: 2,
+                },
+                read_set: crate::mds::ReadSet::resolution_chain(&vpath("/d/f")),
+                ..BatchedOp::default()
+            };
+            4
+        ];
+        let wb_batch: Vec<BatchedOp> = (0..4).map(|_| create_op(42)).collect();
+        let read = DbOps {
+            reads: 3,
+            writes: 0,
+        };
+        let write = DbOps {
+            reads: 3,
+            writes: 2,
+        };
+        let one_write = DbOps {
+            reads: 6,
+            writes: 1,
+        };
+        let cross = DbOps {
+            reads: 5,
+            writes: 4,
+        };
+        let mut cluster = MdsCluster::new(Box::new(HashByParent::new(2)));
+        let mut done = Vec::new();
+        let zero = SimTime::ZERO;
+        // Two lumps on shard 0, then node 1's read bypasses the queued one.
+        done.push(cluster.serve(&prio, &n, NodeId(0), Request::Batch(s0, &lump), zero));
+        done.push(cluster.serve(&prio, &n, NodeId(0), Request::Batch(s0, &lump), zero));
+        done.push(cluster.serve(&prio, &n, NodeId(1), Request::Single(s0, read), zero));
+        // A synchronous write, a memoized batch, a write-behind batch
+        // and a two-phase op, each sent when the previous one is done.
+        let t = done[2];
+        done.push(cluster.serve(&prio, &n, NodeId(1), Request::Single(s1, write), t));
+        let t = done[3];
+        done.push(cluster.serve(&memo, &n, NodeId(0), Request::Batch(s1, &memo_batch), t));
+        let t = done[4];
+        done.push(cluster.serve(&wb, &n, NodeId(0), Request::Batch(s0, &wb_batch), t));
+        let t = done[5];
+        let req = Request::TwoPhase((s1, s0), cross);
+        done.push(cluster.serve(&prio, &n, NodeId(0), req, t));
+        // A two-phase op whose participant half carries no write (half
+        // of one), queued behind a lump on the participant while a
+        // second lump is in service: it must not take the read lane.
+        let t = done[6];
+        done.push(cluster.serve(&prio, &n, NodeId(0), Request::Batch(s1, &lump), t));
+        done.push(cluster.serve(&prio, &n, NodeId(0), Request::Batch(s1, &lump), t));
+        let req = Request::TwoPhase((s0, s1), one_write);
+        done.push(cluster.serve(&prio, &n, NodeId(0), req, t));
+        // A single write under write-behind (a listing's atime) still
+        // commits synchronously: only batches journal.
+        let t = done[9];
+        let atime = DbOps {
+            reads: 2,
+            writes: 1,
+        };
+        done.push(cluster.serve(&wb, &n, NodeId(1), Request::Single(s0, atime), t));
+        let nanos: Vec<u64> = done.iter().map(|d| d.as_nanos()).collect();
+        assert_eq!(
+            nanos,
+            [
+                3395000, 4540000, 3434000, 5763000, 8270000, 8623000, 9409000, 10804000, 11949000,
+                12343000, 12649000
+            ]
+        );
+        assert_eq!(
+            format!("{:?}", cluster.usage()),
+            concat!(
+                "[ShardUsage { shard: 0, rpcs: 40, busy: SimDuration(2818000), ",
+                "mean_wait: SimDuration(429000), two_phase: 2, recalls: 0, batches: 3, ",
+                "reads_charged: 178, reads_memoized: 0, read_bypasses: 1, journal_appends: 1, ",
+                "rows_coalesced: 3, apply_lag: SimDuration(145000), splits: 0, merges: 0, ",
+                "migrations: 0 }, ",
+                "ShardUsage { shard: 1, rpcs: 39, busy: SimDuration(2794000), ",
+                "mean_wait: SimDuration(415625), two_phase: 2, recalls: 0, batches: 3, ",
+                "reads_charged: 183, reads_memoized: 6, read_bypasses: 0, journal_appends: 0, ",
+                "rows_coalesced: 0, apply_lag: SimDuration(0), splits: 0, merges: 0, ",
+                "migrations: 0 }]"
+            )
+        );
     }
 }

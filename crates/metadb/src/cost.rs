@@ -125,23 +125,23 @@ impl DbCostTracker {
         d
     }
 
-    /// Service demand of a *group commit*: the write sets of several
-    /// independent operations folded into one transaction. The log
-    /// records are still appended per row, but the commit bookkeeping
-    /// (and its share of the periodic fsync) is paid once for the whole
-    /// group instead of once per operation — the shard-side half of RPC
-    /// batching. A group of one is bit-for-bit [`Self::txn_cost`].
+    /// Service demand of a *group commit*: the write sets of `ops`
+    /// independent operations, `writes` rows in all, folded into one
+    /// transaction. The log records are still appended per row, but
+    /// the commit bookkeeping (and its share of the periodic fsync) is
+    /// paid once for the whole group instead of once per operation —
+    /// the shard-side half of RPC batching. A group of one is
+    /// bit-for-bit [`Self::txn_cost`].
     ///
     /// # Panics
     ///
-    /// Panics if `writes_per_op` is empty — an empty group has no
-    /// transaction to commit.
-    pub fn group_txn_cost(&mut self, model: &DbCostModel, writes_per_op: &[u64]) -> SimDuration {
-        assert!(!writes_per_op.is_empty(), "group commit of zero operations");
-        let total: u64 = writes_per_op.iter().sum();
+    /// Panics if `ops` is zero — an empty group has no transaction to
+    /// commit.
+    pub fn group_txn_cost(&mut self, model: &DbCostModel, writes: u64, ops: u64) -> SimDuration {
+        assert!(ops > 0, "group commit of zero operations");
         self.group_commits += 1;
-        self.group_committed_ops += writes_per_op.len() as u64;
-        self.txn_cost(model, total)
+        self.group_committed_ops += ops;
+        self.txn_cost(model, writes)
     }
 
     /// Service demand of one sequential append to the write-behind
@@ -285,7 +285,7 @@ mod tests {
         let mut singles = DbCostTracker::new();
         let single_total: SimDuration = (0..k).map(|_| singles.txn_cost(&m, 1)).sum();
         let mut grouped = DbCostTracker::new();
-        let group = grouped.group_txn_cost(&m, &[1, 1, 1, 1]);
+        let group = grouped.group_txn_cost(&m, 4, 4);
         // Same row work, (k - 1) fewer commits.
         assert_eq!(single_total, group + m.commit * (k - 1));
         assert_eq!(grouped.commits(), 1);
@@ -298,8 +298,8 @@ mod tests {
             ..DbCostModel::default()
         };
         let mut t = DbCostTracker::new();
-        t.group_txn_cost(&m, &[1, 1, 1]);
-        let second = t.group_txn_cost(&m, &[1]);
+        t.group_txn_cost(&m, 3, 3);
+        let second = t.group_txn_cost(&m, 1, 1);
         assert_eq!(second, m.commit + m.write + m.sync_cost);
     }
 
@@ -312,7 +312,7 @@ mod tests {
         let mut a = DbCostTracker::new();
         let mut b = DbCostTracker::new();
         for w in [1u64, 2, 5, 1, 0, 3] {
-            assert_eq!(a.txn_cost(&m, w), b.group_txn_cost(&m, &[w]));
+            assert_eq!(a.txn_cost(&m, w), b.group_txn_cost(&m, w, 1));
         }
         assert_eq!(a.commits(), b.commits());
     }
@@ -320,14 +320,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "group commit of zero operations")]
     fn empty_group_panics() {
-        DbCostTracker::new().group_txn_cost(&DbCostModel::default(), &[]);
+        DbCostTracker::new().group_txn_cost(&DbCostModel::default(), 0, 0);
     }
 
     #[test]
     fn reset_clears_group_counters() {
         let m = DbCostModel::default();
         let mut t = DbCostTracker::new();
-        t.group_txn_cost(&m, &[1, 1]);
+        t.group_txn_cost(&m, 2, 2);
         t.reset();
         assert_eq!(t.commits(), 0);
         assert_eq!(t.group_commits(), 0);
@@ -361,9 +361,8 @@ mod tests {
         let m = DbCostModel::default();
         let mut t = DbCostTracker::new();
         for ops in 1..=32u64 {
-            let writes: Vec<u64> = (0..ops).map(|_| 3).collect();
             let append = t.journal_append_cost(&m, 3 * ops);
-            let group = t.group_txn_cost(&m, &writes);
+            let group = t.group_txn_cost(&m, 3 * ops, ops);
             assert!(append < group, "{ops}-op batch: {append:?} vs {group:?}");
         }
     }

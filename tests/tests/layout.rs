@@ -137,3 +137,47 @@ fn storm_layout_matches_the_reference_renderer() {
     assert!(slots > 0, "dir_limit 4 must retire slots");
     assert_eq!(tree(fs.under_mut()), expected_tree);
 }
+
+#[test]
+fn failed_creates_take_no_placement_slot() {
+    let cfg = CofsConfig {
+        dir_limit: 4,
+        spread: 1,
+        ..CofsConfig::default()
+    };
+    let net = MdsNetwork::uniform(SimDuration::from_micros(250));
+    let mut fs = CofsFs::new(MemFs::new(), cfg, net, 5);
+    let ctx = OpCtx::test(NodeId(0));
+    let fh = fs
+        .create(&ctx, &vpath("/f0"), Mode::file_default())
+        .unwrap()
+        .value;
+    fs.close(&ctx, fh).unwrap();
+    for _ in 0..3 {
+        let err = fs
+            .create(&ctx, &vpath("/f0"), Mode::file_default())
+            .unwrap_err();
+        assert!(err.is(vfs::error::Errno::EEXIST));
+    }
+    let cred = Cred {
+        uid: Uid(1000),
+        gid: Gid(1000),
+    };
+    let slot_of = |fs: &CofsFs<MemFs>, path: &VPath| {
+        let (rec, _) = fs.mds().getattr(cred, path).unwrap();
+        rec.mapping.clone().unwrap().parent().unwrap()
+    };
+    let first = slot_of(&fs, &vpath("/f0"));
+    assert!(first.as_str().ends_with("/d0"), "{first}");
+    for i in 1..4 {
+        let path = vpath(&format!("/f{i}"));
+        let fh = fs.create(&ctx, &path, Mode::file_default()).unwrap().value;
+        fs.close(&ctx, fh).unwrap();
+        // Only successful creates count against the slot, so d0 fills
+        // to its limit of four before a new slot opens.
+        assert_eq!(slot_of(&fs, &path), first, "{path}");
+        let (rec, _) = fs.mds().getattr(cred, &path).unwrap();
+        let name = rec.mapping.clone().unwrap();
+        assert_eq!(name.file_name(), Some(format!("i{}", i + 1).as_str()));
+    }
+}

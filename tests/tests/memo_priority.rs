@@ -11,7 +11,7 @@ use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::{DbOps, ReadSet};
-use cofs::mds_cluster::{MdsCluster, ShardId, SingleShard};
+use cofs::mds_cluster::{MdsCluster, Request, ShardId, SingleShard};
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::memfs::MemFs;
@@ -215,7 +215,7 @@ fn memoization_and_priority_compose() {
 }
 
 /// Pricing properties of the memoized batch path, driven straight
-/// through [`MdsCluster::rpc_batch`] on synthetic batches.
+/// through [`MdsCluster::serve`] on synthetic batches.
 mod pricing_props {
     use super::*;
     use proptest::prelude::*;
@@ -232,7 +232,13 @@ mod pricing_props {
     /// (client completion time, shard busy time).
     fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, SimDuration) {
         let mut cluster = MdsCluster::new(Box::new(SingleShard));
-        let done = cluster.rpc_batch(cfg, &net(), NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let done = cluster.serve(
+            cfg,
+            &net(),
+            NodeId(0),
+            Request::Batch(ShardId(0), ops),
+            SimTime::ZERO,
+        );
         (done, cluster.usage()[0].busy)
     }
 

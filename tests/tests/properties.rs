@@ -391,7 +391,7 @@ mod inode_store_props {
                     0 => mds.mkdir(cred, &p, Mode::dir_default(), now).is_ok(),
                     1 => {
                         let mapping = vpath(&format!("/.u/i{seq}"));
-                        mds.create(cred, &p, Mode::file_default(), mapping, now).is_ok()
+                        mds.create(cred, &p, Mode::file_default(), || mapping, now).is_ok()
                     }
                     2 => {
                         let _ = mds.link(cred, &p, &q, now);
